@@ -17,6 +17,7 @@ from cryptography.hazmat.primitives.asymmetric import ed25519
 from .encoding import EncodingError, pack_fields, unpack_fields
 
 _HASHERS = {"sha1": hashlib.sha1, "sha256": hashlib.sha256}
+_SIZES = {name: new().digest_size for name, new in _HASHERS.items()}
 
 #: fixed strings allowed inside signed blobs
 SIGN_TAGS = ("QUOT", "TREEQUOT", "REDTREEQUOT", "CERT")
@@ -84,7 +85,12 @@ class HashConfig:
 
     @property
     def size(self) -> int:
-        return _HASHERS[self.algorithm]().digest_size
+        return _SIZES[self.algorithm]
+
+    @property
+    def hasher(self):
+        """The hashlib constructor, for sweeps that fold raw digest bytes."""
+        return _HASHERS[self.algorithm]
 
     def measure(self, data: bytes) -> Digest:
         """Hash raw input into a measurement digest."""

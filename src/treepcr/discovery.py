@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .certification import IssuePackage, Manifest, issue_subtree_certificate
 from .crypto import Digest, HashConfig, SHA1, VerifyingKey, parse_digest
 from .engine import Quote, verify_quote
-from .sca import REJECT_FRESHNESS, REJECT_SIGNATURE, REJECT_SUBTREE, SubtreeCa
+from .sca import REJECT_AIK_CERT, REJECT_FRESHNESS, REJECT_SIGNATURE, REJECT_SUBTREE, SubtreeCa
 from .tree import NodeRef, SmlTree, find_inconsistency, leaf_interval, recompute_root
 
 
@@ -93,7 +93,7 @@ def active_discover(tree: SmlTree, data: DiscoveryData) -> DiscoveryResult:
     holding the required predecessor covers a leaf interval entirely to
     the left of the match's own interval.
     """
-    occupied = [NodeRef(c, v) for c, v in ((c, tree.node(c)) for c in tree.coords()) if not v.is_nil]
+    occupied = list(tree.occupied())
     wanted = {target: [] for target, _ in data.conditions}
     for target, pred in data.conditions:
         wanted[target].append(pred)
@@ -193,6 +193,11 @@ def passive_discover(
         sca._nonces.discard(quote.nonce)
         if quote.node_value != root.value:
             return PassiveResult(REJECT_SUBTREE, detail="quote does not cover the claimed root")
+    # a passive submission carries no identity certificate to check
+    if sca.require_aik_cert:
+        return PassiveResult(REJECT_AIK_CERT, detail="identity certificate required")
+    if subtree.config != sca.config:
+        return PassiveResult(REJECT_SUBTREE, detail="hash algorithm mismatch")
     bad = find_inconsistency(subtree, root.value if quote is not None else None)
     if bad is not None:
         return PassiveResult(

@@ -32,7 +32,17 @@ from .crypto import (
     verify,
 )
 from .encoding import pack_fields, pack_u32, unpack_fields
-from .tree import NodeRef, ReducedTree, Trace, check_coord, fold_to_root, reduced_coords, trace_coords
+from .tree import (
+    NodeRef,
+    ReducedTree,
+    Trace,
+    check_coord,
+    fold_to_root,
+    is_reduced_of,
+    is_trace_of,
+    reduced_coords,
+    trace_coords,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -276,6 +286,8 @@ class TreeTpm:
         self.stats = EngineStats()
         self._regs = [Register() for _ in range(register_count)]
         self._trees: dict[str, _TreeMeta] = {}
+        # armed sessions only: each holds RT registers of its own, so the
+        # table never outgrows the register file
         self._sessions: dict[int, UpdateSession] = {}
         self._lock = threading.RLock()
         self._session_counter = itertools.count(1)
@@ -313,10 +325,11 @@ class TreeTpm:
         return self._regs[reg]
 
     def _alloc(self, count: int, state: RegisterState, tree_uid: str | None = None) -> list[int]:
-        free = [i for i, r in enumerate(self._regs) if r.state is RegisterState.FREE]
-        if len(free) < count:
-            raise InsufficientRegisters(f"need {count} free registers, have {len(free)}")
-        chosen = free[:count]
+        """First fit: the ``count`` lowest-numbered free registers."""
+        free = (i for i, r in enumerate(self._regs) if r.state is RegisterState.FREE)
+        chosen = list(itertools.islice(free, count))
+        if len(chosen) < count:
+            raise InsufficientRegisters(f"need {count} free registers, have {len(chosen)}")
         for i in chosen:
             self._regs[i] = Register(NIL, state, tree_uid, None)
         return chosen
@@ -325,16 +338,13 @@ class TreeTpm:
         for i in regs:
             self._regs[i] = Register()
 
-    def _touch(self, regs: Sequence[int], exclude_session: int | None = None) -> None:
-        """Invalidate armed sessions bound to any mutated register."""
+    def _touch(self, regs: Sequence[int]) -> None:
+        """Invalidate (and drop) armed sessions bound to any mutated register."""
         touched = set(regs)
-        for session in self._sessions.values():
-            if session.status is not SessionStatus.ARMED:
-                continue
-            if session.session_id == exclude_session:
-                continue
+        for session in list(self._sessions.values()):
             if touched & session.bound_registers():
                 session.status = SessionStatus.INVALIDATED
+                del self._sessions[session.session_id]
                 logger.debug("session %d invalidated by registers %s", session.session_id, sorted(touched))
 
     def _command(self, name: str, *detail: object) -> int:
@@ -525,9 +535,8 @@ class TreeTpm:
     def _check_verify_inputs(self, node: NodeRef, reduced: ReducedTree, meta: _TreeMeta) -> None:
         check_coord(node.coord, meta.depth)
         self.config.check(node.value)
-        expected = reduced_coords(node.coord)
-        if [r.coord for r in reduced] != expected:
-            raise ValueError(f"reduced tree coordinates must be {expected}")
+        if not is_reduced_of(reduced, node.coord):
+            raise ValueError(f"reduced tree coordinates must be {reduced_coords(node.coord)}")
         for ref in reduced:
             self.config.check(ref.value)
 
@@ -599,12 +608,11 @@ class TreeTpm:
             self.stats.verify_ops += 1
 
             (slot,) = self._alloc(1, RegisterState.RT, meta.uid)
-            self._regs[slot].value = node.value
+            acc, chiral_extend = self._regs[slot], self.config.chiral_extend
+            acc.value = node.value
             for k in range(len(node.coord), 0, -1):
-                self._regs[slot].value = self.config.chiral_extend(
-                    reduced[k - 1].value, node.coord[k - 1], self._regs[slot].value
-                )
-            matched = self._regs[slot].value == register.value
+                acc.value = chiral_extend(reduced[k - 1].value, node.coord[k - 1], acc.value)
+            matched = acc.value == register.value
             self._free_regs([slot])
             if not matched:
                 logger.debug("cmd %d verification error", seq)
@@ -622,9 +630,9 @@ class TreeTpm:
                 raise StateViolation(f"register {root_reg} does not hold a root")
             meta = self._meta_for_root(root_reg)
             check_coord(coord, meta.depth)
-            if [t.coord for t in trace] != trace_coords(coord):
+            if not is_trace_of(trace, coord):
                 raise ValueError("trace coordinates do not match the node coordinate")
-            if [r.coord for r in reduced] != reduced_coords(coord):
+            if not is_reduced_of(reduced, coord):
                 raise ValueError("reduced tree coordinates do not match the node coordinate")
             for ref in itertools.chain(trace, reduced):
                 self.config.check(ref.value)
@@ -651,13 +659,12 @@ class TreeTpm:
         """Consume an armed session: write the new node value and refold the root."""
         with self._lock:
             self._command("reduced_tree_update", session.root_reg, session.coord)
-            live = self._sessions.get(session.session_id)
-            if live is None or live is not session:
+            if self._sessions.get(session.session_id) is not session:
+                if session.status is SessionStatus.CONSUMED:
+                    raise BindingViolation("update session already consumed")
+                if session.status is SessionStatus.INVALIDATED:
+                    raise BindingViolation("update session invalidated by an intervening command")
                 raise BindingViolation("unknown update session")
-            if session.status is SessionStatus.CONSUMED:
-                raise BindingViolation("update session already consumed")
-            if session.status is SessionStatus.INVALIDATED:
-                raise BindingViolation("update session invalidated by an intervening command")
             expected_auth = hashlib.sha256(pack_fields(b"session", session.nonce)).digest()
             if expected_auth != session.auth:
                 raise BindingViolation("session authorisation digest mismatch")
@@ -678,9 +685,9 @@ class TreeTpm:
                 )
             register.value = value
             session.status = SessionStatus.CONSUMED
+            del self._sessions[session.session_id]
             self._free_regs((*session.buffer_regs, session.staging_reg))
-            self._touch([session.root_reg, *session.buffer_regs, session.staging_reg],
-                        exclude_session=session.session_id)
+            self._touch([session.root_reg, *session.buffer_regs, session.staging_reg])
             # an updated tree can no longer be extended consistently: seal it
             meta = self._meta_for_root(session.root_reg)
             if not meta.closed:

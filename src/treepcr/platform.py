@@ -8,8 +8,6 @@ tree commands, and speaks for the device in the certification protocol
 
 from __future__ import annotations
 
-import logging
-
 from .crypto import NIL, Digest, HashConfig, SHA1, SigningKey
 from .engine import (
     NodeVerifyBreach,
@@ -29,8 +27,6 @@ from .tree import (
     build_trace,
     check_coord,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class Platform:
@@ -60,8 +56,7 @@ class Platform:
     def extend(self, measurement: Digest) -> Digest:
         """Feed one measurement to the device and mirror the returned delta."""
         result = self.engine.tree_extend(self.root_reg, measurement)
-        for ref in result.nodes:
-            self.tree.set_node(ref.coord, ref.value)
+        self.tree.set_path(result.index, [ref.value for ref in result.nodes])
         self.tree.leaf_count = result.index + 1
         return result.root
 
@@ -123,14 +118,7 @@ class Platform:
         """Mirror maintenance after an update at coord."""
         for ref in trace:
             self.tree.set_node(ref.coord, ref.value)
-        stale = 0
-        for below in self.tree.coords():
-            if len(below) > len(coord) and below.startswith(coord):
-                if not self.tree.node(below).is_nil:
-                    stale += 1
-                self.tree.set_node(below, NIL)
-        if stale:
-            logger.debug("update at %s invalidated %d stale nodes", coord, stale)
+        self.tree.blank_below(coord)
 
     # -- quoting -----------------------------------------------------------
 

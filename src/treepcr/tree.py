@@ -6,6 +6,16 @@ down to the leaves at length ``depth``. The empty string addresses the
 root itself, which lives in a protected register rather than in the log;
 the log stores every coordinate of length 1..depth, with ``NIL`` marking
 unoccupied positions so that serialization fixes the tree shape.
+
+Inside ``SmlTree`` a node is a position ``(level, index)``: coordinate
+``c`` sits at ``(len(c), int(c, 2))``, and each level is one list of
+digests in index order, so a node's children are ``2i`` and ``2i + 1``
+one level down and the subtree below a node covers one contiguous slice
+per level. Coordinate strings are checked once where they enter the
+public API; whole-log work (consistency checks, refolds, subtree copies,
+the file format) runs as level-by-level sweeps. The file format is the
+coordinate-string text shown in the README and does not depend on this
+layout.
 """
 
 from __future__ import annotations
@@ -21,10 +31,12 @@ Coord = str
 #: hard cap on tree depth; a full node map has 2^(depth+1) - 2 entries
 MAX_DEPTH = 20
 
+_FLIP = {"0": "1", "1": "0"}
+
 
 def check_coord(coord: Coord, depth: int | None = None, allow_root: bool = False) -> Coord:
     """Validate a coordinate string, returning it unchanged."""
-    if not isinstance(coord, str) or any(c not in "01" for c in coord):
+    if not isinstance(coord, str) or coord.strip("01"):
         raise ValueError(f"coordinate must be a string of 0/1 digits, got {coord!r}")
     if not coord and not allow_root:
         raise ValueError("the root position has no coordinate inside the log")
@@ -35,7 +47,7 @@ def check_coord(coord: Coord, depth: int | None = None, allow_root: bool = False
 
 def sibling_coord(coord: Coord) -> Coord:
     check_coord(coord)
-    return coord[:-1] + ("0" if coord[-1] == "1" else "1")
+    return coord[:-1] + _FLIP[coord[-1]]
 
 
 def trace_coords(coord: Coord) -> list[Coord]:
@@ -47,7 +59,22 @@ def trace_coords(coord: Coord) -> list[Coord]:
 def reduced_coords(coord: Coord) -> list[Coord]:
     """Siblings of the trace: entry k is the length-k prefix, last bit negated."""
     check_coord(coord)
-    return [sibling_coord(coord[:k]) for k in range(1, len(coord) + 1)]
+    return [coord[: k - 1] + _FLIP[coord[k - 1]] for k in range(1, len(coord) + 1)]
+
+
+def is_trace_of(refs: Sequence["NodeRef"], coord: Coord) -> bool:
+    """True iff ``refs`` name exactly ``trace_coords(coord)``, in order."""
+    return len(refs) == len(coord) and all(ref.coord == coord[:k] for k, ref in enumerate(refs, 1))
+
+
+def is_reduced_of(refs: Sequence["NodeRef"], coord: Coord) -> bool:
+    """True iff ``refs`` name exactly ``reduced_coords(coord)``, in order."""
+    if len(refs) != len(coord):
+        return False
+    for k, ref in enumerate(refs):
+        if ref.coord != coord[:k] + _FLIP[coord[k]]:
+            return False
+    return True
 
 
 def leq(m: Coord, n: Coord) -> bool:
@@ -111,7 +138,9 @@ class SmlTree:
         self.config = config
         self.root_register = root_register
         self.leaf_count = 0
-        self._nodes: dict[Coord, Digest] = {c: NIL for c in _all_coords(depth)}
+        # _levels[k][i] is the node at (level k, index i); level 0 is the
+        # root position, which a register holds, so its one slot stays NIL
+        self._levels: list[list[Digest]] = [[NIL] * (1 << k) for k in range(depth + 1)]
 
     @property
     def capacity(self) -> int:
@@ -119,25 +148,49 @@ class SmlTree:
 
     def coords(self) -> Iterator[Coord]:
         """All coordinates in breadth-first order."""
-        return _all_coords(self.depth)
+        return (c for row in _coord_rows(self.depth) for c in row)
 
     def leaf_coords(self) -> Iterator[Coord]:
         depth = self.depth
         return (format(i, f"0{depth}b") for i in range(1 << depth))
 
-    def node(self, coord: Coord) -> Digest:
+    def _locate(self, coord: Coord) -> tuple[int, int]:
         check_coord(coord, self.depth)
-        return self._nodes[coord]
+        return len(coord), int(coord, 2)
+
+    def node(self, coord: Coord) -> Digest:
+        level, index = self._locate(coord)
+        return self._levels[level][index]
 
     def set_node(self, coord: Coord, value: Digest) -> None:
-        check_coord(coord, self.depth)
-        self._nodes[coord] = self.config.check(value)
+        level, index = self._locate(coord)
+        self._levels[level][index] = self.config.check(value)
+
+    def set_path(self, leaf_index: int, values: Sequence[Digest]) -> None:
+        """Write values on the path from a leaf upward, leaf first.
+
+        This is the shape of a tree-extend delta: entry h belongs to the
+        ancestor h levels above leaf ``leaf_index``.
+        """
+        if not 0 <= leaf_index < self.capacity or len(values) > self.depth:
+            raise ValueError(f"no path of {len(values)} nodes above leaf {leaf_index}")
+        check = self.config.check
+        for height, value in enumerate(values):
+            self._levels[self.depth - height][leaf_index >> height] = check(value)
+
+    def blank_below(self, coord: Coord) -> None:
+        """Set every node strictly below coord to NIL: one slice per level."""
+        level, index = self._locate(coord)
+        for k in range(level + 1, self.depth + 1):
+            shift = k - level
+            lo, hi = index << shift, (index + 1) << shift
+            self._levels[k][lo:hi] = [NIL] * (hi - lo)
 
     def occupied(self) -> Iterator[NodeRef]:
-        for coord in self.coords():
-            value = self._nodes[coord]
-            if not value.is_nil:
-                yield NodeRef(coord, value)
+        for level in range(1, self.depth + 1):
+            for index, value in enumerate(self._levels[level]):
+                if value.value is not None:
+                    yield NodeRef(format(index, f"0{level}b"), value)
 
     def copy(self) -> "SmlTree":
         dup = SmlTree.__new__(SmlTree)
@@ -145,7 +198,7 @@ class SmlTree:
         dup.config = self.config
         dup.root_register = self.root_register
         dup.leaf_count = self.leaf_count
-        dup._nodes = dict(self._nodes)
+        dup._levels = [row[:] for row in self._levels]
         return dup
 
     def __eq__(self, other: object) -> bool:
@@ -156,28 +209,37 @@ class SmlTree:
             and self.config == other.config
             and self.root_register == other.root_register
             and self.leaf_count == other.leaf_count
-            and self._nodes == other._nodes
+            and self._levels == other._levels
         )
 
     def __repr__(self) -> str:
-        occupied = sum(1 for c in self._nodes if not self._nodes[c].is_nil)
+        occupied = sum(v.value is not None for row in self._levels for v in row)
         return f"SmlTree(depth={self.depth}, leaves={self.leaf_count}, occupied={occupied})"
 
 
-def _all_coords(depth: int) -> Iterator[Coord]:
-    for level in range(1, depth + 1):
-        for i in range(1 << level):
-            yield format(i, f"0{level}b")
+def _coord_rows(depth: int) -> Iterator[list[Coord]]:
+    """The coordinates of levels 1..depth, one list per level in index order."""
+    row = [""]
+    for _ in range(depth):
+        row = [c + bit for c in row for bit in "01"]
+        yield row
 
 
 def build_trace(tree: SmlTree, coord: Coord) -> Trace:
     """Trace of a node as stored in the log (level 1 first)."""
-    return [NodeRef(c, tree.node(c)) for c in trace_coords(check_coord(coord, tree.depth))]
+    level, index = tree._locate(coord)
+    levels = tree._levels
+    return [NodeRef(coord[:k], levels[k][index >> (level - k)]) for k in range(1, level + 1)]
 
 
 def build_reduced_tree(tree: SmlTree, coord: Coord) -> ReducedTree:
     """Sibling list of a node as stored in the log (level 1 first)."""
-    return [NodeRef(c, tree.node(c)) for c in reduced_coords(check_coord(coord, tree.depth))]
+    level, index = tree._locate(coord)
+    levels = tree._levels
+    return [
+        NodeRef(sibling, levels[k][(index >> (level - k)) ^ 1])
+        for k, sibling in enumerate(reduced_coords(coord), 1)
+    ]
 
 
 def recompute_root(tree: SmlTree) -> Digest:
@@ -188,17 +250,17 @@ def recompute_root(tree: SmlTree) -> Digest:
     inner node was legitimately replaced (emptying its subtree) still
     folds to the register value.
     """
-    return _fold_subtree(tree, "")
-
-
-def _fold_subtree(tree: SmlTree, coord: Coord) -> Digest:
-    if len(coord) == tree.depth:
-        return tree.node(coord)
-    left = _fold_subtree(tree, coord + "0")
-    right = _fold_subtree(tree, coord + "1")
-    if left.is_nil and right.is_nil:
-        return tree.node(coord) if coord else NIL
-    return tree.config.extend(left, right)
+    new = tree.config.hasher
+    acc = [v.value for v in tree._levels[tree.depth]]
+    for level in range(tree.depth - 1, -1, -1):
+        acc = [
+            kept.value if a is None and b is None
+            else b if a is None
+            else a if b is None
+            else new(a + b).digest()
+            for a, b, kept in zip(acc[::2], acc[1::2], tree._levels[level])
+        ]
+    return NIL if acc[0] is None else Digest(acc[0])
 
 
 def find_inconsistency(tree: SmlTree, claimed_root: Digest | None = None) -> Coord | None:
@@ -207,26 +269,30 @@ def find_inconsistency(tree: SmlTree, claimed_root: Digest | None = None) -> Coo
     Returns the empty string when the refolded root mismatches
     ``claimed_root``; None when the log is internally consistent.
     """
-    for coord in tree.coords():
-        if len(coord) == tree.depth:
-            continue
-        expected = tree.config.extend(tree.node(coord + "0"), tree.node(coord + "1"))
-        if expected != tree.node(coord):
-            return coord
-    if claimed_root is not None and recompute_root(tree) != claimed_root:
+    new = tree.config.hasher
+    levels = tree._levels
+    for level in range(1, tree.depth):
+        below = levels[level + 1]
+        for index, (stored, a, b) in enumerate(zip(levels[level], below[::2], below[1::2])):
+            a, b = a.value, b.value
+            if stored.value != (b if a is None else a if b is None else new(a + b).digest()):
+                return format(index, f"0{level}b")
+    # every inner value matches its children here, so recompute_root() would
+    # return exactly the extend of the two level-1 values
+    if claimed_root is not None and tree.config.extend(levels[1][0], levels[1][1]) != claimed_root:
         return ""
     return None
 
 
 def extract_subtree(tree: SmlTree, coord: Coord) -> SmlTree:
     """Standalone log for the subtree below coord (root value not included)."""
-    check_coord(coord, tree.depth)
-    if len(coord) >= tree.depth:
+    level, index = tree._locate(coord)
+    if level >= tree.depth:
         raise ValueError("cannot extract a subtree below a leaf")
-    sub = SmlTree(tree.depth - len(coord), tree.config, root_register=tree.root_register)
-    for rel in sub.coords():
-        sub._nodes[rel] = tree.node(coord + rel)
-    sub.leaf_count = sum(1 for c in sub.leaf_coords() if not sub.node(c).is_nil)
+    sub = SmlTree(tree.depth - level, tree.config, root_register=tree.root_register)
+    for k in range(1, sub.depth + 1):
+        sub._levels[k] = tree._levels[level + k][index << k : (index + 1) << k]
+    sub.leaf_count = sum(v.value is not None for v in sub._levels[sub.depth])
     return sub
 
 
@@ -266,8 +332,8 @@ def serialize_sml(tree: SmlTree, root_value: Digest | None = None, root_state: s
             raise ValueError(f"root state must be AR or CR, got {root_state!r}")
         head.append(f"state={root_state}")
     lines = [" ".join(head)]
-    for coord in tree.coords():
-        lines.append(f"{coord} {tree.node(coord).to_text()}")
+    for coords, row in zip(_coord_rows(tree.depth), tree._levels[1:]):
+        lines += [f"{coord} {value.to_text()}" for coord, value in zip(coords, row)]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -313,18 +379,21 @@ def parse_sml(data: bytes) -> SmlDocument:
     if root_state is not None and root_state not in ("AR", "CR"):
         raise EncodingError(f"line 1: bad root state {root_state!r}")
 
-    expected = list(tree.coords())
-    body = lines[1:]
-    if len(body) != len(expected):
-        raise EncodingError(f"line {len(lines)}: expected {len(expected)} node lines, got {len(body)}")
-    for lineno, (line, coord) in enumerate(zip(body, expected), start=2):
-        parts = line.split()
-        if len(parts) != 2:
-            raise EncodingError(f"line {lineno}: expected '<coord> <digest>'")
-        if parts[0] != coord:
-            raise EncodingError(f"line {lineno}: expected coordinate {coord}, got {parts[0]}")
-        try:
-            tree._nodes[coord] = parse_digest(parts[1], config.size)
-        except ValueError as exc:
-            raise EncodingError(f"line {lineno}: {exc}") from exc
+    node_count = (1 << (depth + 1)) - 2
+    if len(lines) - 1 != node_count:
+        raise EncodingError(f"line {len(lines)}: expected {node_count} node lines, got {len(lines) - 1}")
+    size = config.size
+    start = 1  # lines[start] is the first node line of the current level
+    for coords, row in zip(_coord_rows(depth), tree._levels[1:]):
+        for index, (line, coord) in enumerate(zip(lines[start : start + len(coords)], coords)):
+            parts = line.split()
+            if len(parts) != 2:
+                raise EncodingError(f"line {start + index + 1}: expected '<coord> <digest>'")
+            if parts[0] != coord:
+                raise EncodingError(f"line {start + index + 1}: expected coordinate {coord}, got {parts[0]}")
+            try:
+                row[index] = parse_digest(parts[1], size)
+            except ValueError as exc:
+                raise EncodingError(f"line {start + index + 1}: {exc}") from exc
+        start += len(coords)
     return SmlDocument(tree, root_value, root_state)

@@ -83,6 +83,32 @@ def oracle_update(
     return updated, root
 
 
+def oracle_refold(nodes: dict[str, bytes | None], depth: int, alg: str = "sha1") -> bytes | None:
+    """Root refolded from the leaves by recursion over coordinate strings.
+
+    An inner node whose children both fold to nothing keeps its stored
+    value, which is how a legitimately replaced node looks in the log.
+    """
+
+    def fold(coord: str) -> bytes | None:
+        if len(coord) == depth:
+            return nodes[coord]
+        left, right = fold(coord + "0"), fold(coord + "1")
+        if left is None and right is None:
+            return nodes[coord] if coord else None
+        return oracle_extend(left, right, alg)
+
+    return fold("")
+
+
+def oracle_first_inconsistency(nodes: dict[str, bytes | None], depth: int, alg: str = "sha1") -> str | None:
+    """Breadth-first scan for the first inner node that differs from the extend of its children."""
+    for coord in sorted(nodes, key=lambda c: (len(c), c)):
+        if len(coord) < depth and nodes[coord] != oracle_extend(nodes[coord + "0"], nodes[coord + "1"], alg):
+            return coord
+    return None
+
+
 def random_leaves(rng: random.Random, depth: int, alg: str = "sha1", count: int | None = None) -> list[bytes]:
     size = hashlib.new(alg).digest_size
     if count is None:

@@ -10,7 +10,7 @@ from oracle import (
     random_digest,
     random_leaves,
 )
-from treepcr import Digest, NodeRef, SHA1, SigningKey, extract_subtree, serialize_sml
+from treepcr import SHA256, Digest, NodeRef, SHA1, SigningKey, extract_subtree, serialize_sml
 from treepcr.certification import build_attestation_package, issue_ref_value
 from treepcr.discovery import (
     DiscoveryData,
@@ -19,7 +19,7 @@ from treepcr.discovery import (
     passive_discover,
 )
 from treepcr.protocol import certify_subtree
-from treepcr.sca import OK, REJECT_SUBTREE, PolicyTable, SubtreeCa
+from treepcr.sca import OK, REJECT_AIK_CERT, REJECT_SUBTREE, PolicyTable, SubtreeCa
 from treepcr.validator import validate_subtree
 from treepcr.protocol import make_validation_bundle
 
@@ -259,6 +259,27 @@ class TestPassive:
         lie = NodeRef("0", Digest(random_digest(rng)))
         result = passive_discover(sca, lie, sub, quote=quote, aik_pub=platform.aik.public)
         assert result.status == REJECT_SUBTREE
+
+
+    def test_required_aik_certificate_refused(self, rng):
+        # a passive submission carries no identity certificate, so an
+        # authority that requires one must refuse both rounds
+        platform = make_platform(random_leaves(rng, 3, count=8), 3)
+        sca = sca_with([platform.tree.node("00")], require_aik_cert=True)
+        root, sub, quote = self._submission(rng, platform, "0", sca)
+        result = passive_discover(sca, root, sub, quote=quote, aik_pub=platform.aik.public)
+        assert result.status == REJECT_AIK_CERT
+        assert result.certificates == [] and sca.issued_log == []
+        assert passive_discover(sca, root, sub, quote=None).status == REJECT_AIK_CERT
+
+    def test_hash_algorithm_mismatch_refused(self, rng):
+        platform = make_platform(random_leaves(rng, 3, "sha256", count=8), 3, config=SHA256)
+        sca = sca_with([platform.tree.node("00")])  # a SHA-1 authority
+        root, sub, _ = self._submission(rng, platform, "0", sca, with_quote=False)
+        result = passive_discover(sca, root, sub, quote=None)
+        assert result.status == REJECT_SUBTREE
+        assert result.detail == "hash algorithm mismatch"
+        assert result.candidates == []
 
 
 class TestLeafCoverage:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -299,6 +300,36 @@ class TestUpdate:
         with pytest.raises(BindingViolation, match="invalidated"):
             engine.reduced_tree_update(loaded.session, SHA1.measure(b"v"))
 
+    def test_session_table_holds_armed_sessions_only(self, rng):
+        platform = make_platform(random_leaves(rng, 3, count=8), 3)
+        engine = platform.engine
+        free = engine.free_register_count()
+        for _ in range(1000):
+            loaded = engine.reduced_tree_verify_load(platform.node("010"), platform.reduced("010"), platform.root_reg)
+            for reg in (*loaded.session.buffer_regs, loaded.session.staging_reg):
+                engine.release(reg)
+            assert loaded.session.status is SessionStatus.INVALIDATED
+        assert engine._sessions == {}
+        assert engine.free_register_count() == free
+        with pytest.raises(BindingViolation, match="invalidated"):
+            engine.reduced_tree_update(loaded.session, SHA1.measure(b"v"))
+
+    def test_copied_or_forged_session_refused(self, rng):
+        platform = make_platform(random_leaves(rng, 2, count=4), 2)
+        engine = platform.engine
+        loaded = engine.reduced_tree_verify_load(platform.node("01"), platform.reduced("01"), platform.root_reg)
+        session = loaded.session
+        copied = dataclasses.replace(session)
+        forged = dataclasses.replace(session, session_id=session.session_id + 1)
+        for fake in (copied, forged):
+            assert fake.status is SessionStatus.ARMED
+            with pytest.raises(BindingViolation, match="unknown update session"):
+                engine.reduced_tree_update(fake, SHA1.measure(b"v"))
+        engine.reduced_tree_update(session, SHA1.measure(b"v"))
+        assert session.status is SessionStatus.CONSUMED and engine._sessions == {}
+        with pytest.raises(BindingViolation, match="unknown update session"):
+            engine.reduced_tree_update(copied, SHA1.measure(b"v"))
+
     def test_update_trace_matches_refold(self, rng):
         leaves = random_leaves(rng, 3, count=8)
         platform = make_platform(leaves, 3)
@@ -593,7 +624,7 @@ class TestPersistence:
         restored = Platform.from_document(doc)
         assert restored.root() == platform.root()
         assert restored.root_state() is RegisterState.CR
-        assert restored.tree == platform.tree or restored.tree._nodes == platform.tree._nodes
+        assert restored.tree == platform.tree
         assert restored.verify_node("010")
 
     def test_open_tree_restores_build_frontier(self, rng):

@@ -1,11 +1,21 @@
 import hashlib
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_platform
-from oracle import build_full_tree, oracle_fold, random_leaves
+from oracle import (
+    build_full_tree,
+    oracle_first_inconsistency,
+    oracle_fold,
+    oracle_refold,
+    oracle_update,
+    random_digest,
+    random_leaves,
+)
 from treepcr import (
     NIL,
     SHA1,
@@ -27,6 +37,7 @@ from treepcr import (
     trace_coords,
 )
 from treepcr.encoding import EncodingError
+from treepcr.tree import MAX_DEPTH
 
 GOLDEN = Path(__file__).parent / "data" / "four_leaf.sml"
 GOLDEN_SHA256 = "63039f50435328826f24c29ed143bd793c9ad53d41135ade8876bb4dc88d88ac"
@@ -263,3 +274,143 @@ class TestSerialization:
         doc = parse_sml(GOLDEN.read_bytes())
         assert doc.root_value.value == root
         assert recompute_root(doc.tree) == doc.root_value
+
+
+# -- the per-level storage against brute force over build_full_tree dicts ------
+
+
+def tree_from_nodes(nodes, depth):
+    tree = SmlTree(depth)
+    for coord, raw in nodes.items():
+        tree.set_node(coord, NIL if raw is None else Digest(raw))
+    return tree
+
+
+def values_of(tree):
+    return {c: tree.node(c).value for c in tree.coords()}
+
+
+@st.composite
+def full_trees(draw, min_depth=1):
+    """(depth, node dict, root, rng) for a random tree of depth min_depth..8."""
+    depth = draw(st.integers(min_value=min_depth, max_value=8))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    nodes, root = build_full_tree(random_leaves(rng, depth), depth)
+    return depth, nodes, root, rng
+
+
+def coord_within(draw, depth, max_level=None):
+    level = draw(st.integers(min_value=1, max_value=max_level or depth))
+    return "".join(draw(st.lists(st.sampled_from("01"), min_size=level, max_size=level)))
+
+
+def strictly_below(coord):
+    return lambda c: len(c) > len(coord) and c.startswith(coord)
+
+
+class TestLevelStorage:
+    @settings(max_examples=60, deadline=None)
+    @given(case=full_trees(), data=st.data())
+    def test_blank_below_clears_exactly_the_strict_prefix_set(self, case, data):
+        depth, nodes, _, _ = case
+        coord = coord_within(data.draw, depth)
+        tree = tree_from_nodes(nodes, depth)
+        tree.blank_below(coord)
+        below = strictly_below(coord)
+        assert values_of(tree) == {c: None if below(c) else v for c, v in nodes.items()}
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=full_trees(), data=st.data())
+    def test_apply_update_matches_oracle_update(self, case, data):
+        depth, nodes, _, rng = case
+        leaves = [nodes[c] for c in sorted(c for c in nodes if len(c) == depth) if nodes[c] is not None]
+        platform = make_platform(leaves, depth)
+        coord = coord_within(data.draw, depth)
+        new_value = random_digest(rng)
+        result = platform.verified_update(coord, Digest(new_value))
+        updated, root = oracle_update(nodes, coord, new_value)
+        assert result is not None and result.root.value == root
+        assert values_of(platform.tree) == updated
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=full_trees(), data=st.data())
+    def test_find_inconsistency_names_the_brute_force_coordinate(self, case, data):
+        depth, nodes, root, rng = case
+        coord = coord_within(data.draw, depth)
+        tampered = dict(nodes)
+        tampered[coord] = random_digest(rng)
+        tree = tree_from_nodes(tampered, depth)
+        first = oracle_first_inconsistency(tampered, depth)
+        assert find_inconsistency(tree) == first
+        if first is None:
+            first = "" if oracle_refold(tampered, depth) != root else None
+        assert find_inconsistency(tree, Digest(root) if root else NIL) == first
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=full_trees(), data=st.data())
+    def test_recompute_root_keeps_replaced_inner_nodes(self, case, data):
+        depth, nodes, _, rng = case
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            nodes, root = oracle_update(nodes, coord_within(data.draw, depth), random_digest(rng))
+        refolded = recompute_root(tree_from_nodes(nodes, depth))
+        assert refolded.value == root == oracle_refold(nodes, depth)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=full_trees(min_depth=2), data=st.data())
+    def test_extract_subtree_matches_brute_force(self, case, data):
+        depth, nodes, _, _ = case
+        coord = coord_within(data.draw, depth, max_level=depth - 1)
+        sub = extract_subtree(tree_from_nodes(nodes, depth), coord)
+        below = strictly_below(coord)
+        assert sub.depth == depth - len(coord)
+        assert values_of(sub) == {c[len(coord):]: v for c, v in nodes.items() if below(c)}
+        assert sub.leaf_count == sum(
+            1 for c, v in nodes.items() if below(c) and len(c) == depth and v is not None
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=full_trees())
+    def test_serialize_matches_brute_force_rendering_and_parses_back(self, case):
+        depth, nodes, root, _ = case
+        tree = tree_from_nodes(nodes, depth)
+        tree.leaf_count = sum(1 for c, v in nodes.items() if len(c) == depth and v is not None)
+        root_value = Digest(root) if root else NIL
+        data = serialize_sml(tree, root_value, "CR")
+        head = (
+            f"SMLTREE v1 alg=sha1 depth={depth} leaves={tree.leaf_count} root-reg=0 "
+            f"root={root_value.to_text()} state=CR"
+        )
+        breadth_first = sorted(nodes, key=lambda c: (len(c), c))
+        body = [f"{c} {'nil' if nodes[c] is None else nodes[c].hex()}" for c in breadth_first]
+        assert data == ("\n".join([head, *body]) + "\n").encode("ascii")
+        doc = parse_sml(data)
+        assert doc.tree == tree and doc.root_value == root_value
+        assert serialize_sml(doc.tree, doc.root_value, doc.root_state) == data
+
+    def test_parse_errors_name_the_line_at_every_level(self, rng):
+        platform = make_platform(random_leaves(rng, 4, count=16), 4)
+        lines = serialize_sml(platform.tree, platform.root(), "CR").decode().splitlines()
+        for lineno in (2, 5, 13, 31):
+            coord, digest = lines[lineno - 1].split()
+            for bad, message in (
+                (f"{coord}", f"line {lineno}: expected '<coord> <digest>'"),
+                (f"{coord}x {digest}", f"line {lineno}: expected coordinate {coord}, got {coord}x"),
+                (f"{coord} {digest[:-2]}", f"line {lineno}: digest {digest[:-2]!r} has 19 bytes, expected 20"),
+                (f"{coord} zz{digest[2:]}", f"line {lineno}: bad digest hex 'zz{digest[2:]}'"),
+            ):
+                broken = lines[: lineno - 1] + [bad] + lines[lineno:]
+                with pytest.raises(EncodingError) as info:
+                    parse_sml(("\n".join(broken) + "\n").encode())
+                assert str(info.value) == message
+        with pytest.raises(EncodingError, match="^line 30: expected 30 node lines, got 29$"):
+            parse_sml(("\n".join(lines[:-1]) + "\n").encode())
+
+    def test_empty_max_depth_tree_stays_small(self):
+        tracemalloc.start()
+        try:
+            tree = SmlTree(MAX_DEPTH)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.node("1" * MAX_DEPTH) is NIL
+        assert peak < 40 * 2**20
