@@ -25,7 +25,7 @@ from .crypto import (
     verify,
 )
 from .encoding import EncodingError, pack_fields, pack_u32, unpack_fields, unpack_u32
-from .engine import Quote
+from .engine import Quote, verify_quote
 from .tree import NodeRef, check_coord, leq
 
 REVEALED = "revealed"
@@ -130,6 +130,19 @@ class PrivacyCa:
 
 def verify_aik_certificate(cert: AikCertificate, pca_pub: VerifyingKey) -> bool:
     return verify(pca_pub, "CERT", cert.payload(), b"", cert.signature)
+
+
+def aik_certificate_failure(
+    cert: AikCertificate, aik_pub: VerifyingKey, pca_pub: VerifyingKey | None
+) -> str | None:
+    """Why ``cert`` does not vouch for ``aik_pub`` under ``pca_pub``, or None if it does."""
+    if pca_pub is None:
+        return "no privacy-CA anchor configured"
+    if cert.aik_pub != aik_pub:
+        return "certificate names a different key"
+    if not verify_aik_certificate(cert, pca_pub):
+        return "certificate chain invalid"
+    return None
 
 
 @dataclass(frozen=True)
@@ -407,7 +420,7 @@ def build_attestation_package(
     aux: tuple[RefValueCert, ...] = (),
 ) -> AttestationPackage:
     """Assemble the minimal package; verifies the quote locally first."""
-    if not verify(aik_pub, quote.tag, quote.signed_payload(), quote.nonce, quote.signature):
+    if not verify_quote(quote, aik_pub):
         raise ValueError("refusing to package a quote that does not verify locally")
     return AttestationPackage(
         quote=quote,

@@ -3,18 +3,19 @@
 Active discovery runs on the platform over issuer-supplied discovery
 data: direct node-value search with optional relative-order conditions,
 and a bottom-up mode that guesses span roots from trusted leaf values.
-Passive discovery runs on the issuer over a submitted subtree log.
+Passive discovery runs on the issuer over a submitted subtree log; it
+issues certificates, so it lives in the authority (``sca.py``) beside
+the active issuance route and is re-exported here.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .certification import IssuePackage, Manifest, issue_subtree_certificate
-from .crypto import Digest, HashConfig, SHA1, VerifyingKey, parse_digest
-from .engine import Quote, verify_quote
-from .sca import REJECT_AIK_CERT, REJECT_FRESHNESS, REJECT_SIGNATURE, REJECT_SUBTREE, SubtreeCa
-from .tree import NodeRef, SmlTree, find_inconsistency, leaf_interval, recompute_root
+from .crypto import Digest, HashConfig, SHA1, parse_digest
+from .sca import PassiveResult, passive_discover  # noqa: F401  (re-exported)
+from .tree import NodeRef, SmlTree, leaf_interval, recompute_root
 
 
 @dataclass(frozen=True)
@@ -125,121 +126,37 @@ def bottom_up_candidates(tree: SmlTree, data: DiscoveryData) -> DiscoveryResult:
     """
     if not data.leaf_values:
         raise ValueError("bottom-up discovery needs leaf values")
-    known: dict[str, bool] = {}
-    occupied: dict[str, list[str]] = {}
-    for coord in tree.leaf_coords():
-        value = tree.node(coord)
-        if not value.is_nil:
-            known[coord] = value in data.leaf_values
-            occupied[coord] = [coord]
+    depth = tree.depth
+    # one sweep up from the leaves: a node is 0 (no occupied leaf below),
+    # 1 (occupied leaves, all trusted: a full span) or 2 (an untrusted leaf
+    # below), and a parent takes the larger of its children's states
+    leaves = [tree.node(coord) for coord in tree.leaf_coords()]
+    state = [0 if leaf.is_nil else 1 if leaf in data.leaf_values else 2 for leaf in leaves]
+    unknown = [i for i, s in enumerate(state) if s == 2]  # sorted leaf indices
+    levels = [state]  # levels[k][i] will belong to the node at (level k, index i)
+    for _ in range(depth):
+        state = [a if a > b else b for a, b in zip(state[::2], state[1::2])]
+        levels.insert(0, state)
 
-    def leaves_under(coord: str) -> list[str]:
-        return [c for c in occupied if c.startswith(coord)]
-
-    def full(coord: str) -> bool:
-        leaves = leaves_under(coord)
-        return bool(leaves) and all(known[c] for c in leaves)
+    def value_of(coord: str) -> Digest:
+        return tree.node(coord) if coord else recompute_root(tree)
 
     candidates: list[SpanCandidate] = []
-    gapped_done: set[str] = set()
-    spans = [""] + [c for c in tree.coords()]
-    for coord in spans:
-        if not full(coord):
-            continue
-        if coord and full(coord[:-1]):
-            continue  # parent reports instead; keep candidates maximal
-        value = tree.node(coord) if coord else recompute_root(tree)
-        candidates.append(SpanCandidate(coord, value, full=True))
-        if coord:
-            parent = coord[:-1]
-            if parent not in gapped_done:
-                gapped_done.add(parent)
-                missing = tuple(sorted(c for c in leaves_under(parent) if not known[c]))
-                parent_value = tree.node(parent) if parent else recompute_root(tree)
-                candidates.append(SpanCandidate(parent, parent_value, full=False, missing=missing))
+    for level, row in enumerate(levels):
+        for index, node_state in enumerate(row):
+            # maximal only: a full parent reports instead
+            if node_state != 1 or (level and levels[level - 1][index >> 1] == 1):
+                continue
+            coord = format(index, f"0{level}b") if level else ""
+            candidates.append(SpanCandidate(coord, value_of(coord), full=True))
+            if level:
+                # the parent is not full, so its other child holds an unknown
+                # leaf and cannot itself be a full candidate: one report each
+                parent = coord[:-1]
+                width = 1 << (depth - level + 1)
+                lo = (index >> 1) * width
+                gaps = unknown[bisect_left(unknown, lo) : bisect_left(unknown, lo + width)]
+                missing = tuple(format(i, f"0{depth}b") for i in gaps)
+                candidates.append(SpanCandidate(parent, value_of(parent), full=False, missing=missing))
     candidates.sort(key=lambda c: (len(c.coord), c.coord, not c.full))
     return DiscoveryResult(candidates=candidates)
-
-
-@dataclass
-class PassiveResult:
-    status: str  # "issued" | "quotes-required" | reject code
-    detail: str = ""
-    inconsistent_coord: str | None = None
-    candidates: list[NodeRef] = field(default_factory=list)  # absolute coords
-    certificates: list[tuple[str, IssuePackage]] = field(default_factory=list)
-
-
-def passive_discover(
-    sca: SubtreeCa,
-    root: NodeRef,
-    subtree: SmlTree,
-    quote: Quote | None = None,
-    aik_pub: VerifyingKey | None = None,
-) -> PassiveResult:
-    """Issuer-side traversal of a submitted subtree log.
-
-    With a quote over the subtree root the issuer verifies the log and
-    certifies every maximal recognisable node (concealed binding, since
-    only the top node was quoted). Without a quote it answers lazily with
-    the candidate coordinates; the platform then quotes each candidate
-    and runs the ordinary attestation exchange per root.
-    """
-    if quote is not None:
-        if aik_pub is None or not verify_quote(quote, aik_pub):
-            return PassiveResult(REJECT_SIGNATURE, detail="quote signature invalid")
-        if quote.nonce not in sca._nonces:
-            return PassiveResult(REJECT_FRESHNESS, detail="quote nonce unknown or already used")
-        sca._nonces.discard(quote.nonce)
-        if quote.node_value != root.value:
-            return PassiveResult(REJECT_SUBTREE, detail="quote does not cover the claimed root")
-    # a passive submission carries no identity certificate to check
-    if sca.require_aik_cert:
-        return PassiveResult(REJECT_AIK_CERT, detail="identity certificate required")
-    if subtree.config != sca.config:
-        return PassiveResult(REJECT_SUBTREE, detail="hash algorithm mismatch")
-    bad = find_inconsistency(subtree, root.value if quote is not None else None)
-    if bad is not None:
-        return PassiveResult(
-            REJECT_SUBTREE,
-            detail=f"inconsistent at {bad or '<root>'}",
-            inconsistent_coord=bad,
-        )
-
-    candidates = _certifiable_roots(sca, root, subtree)
-    if quote is None:
-        return PassiveResult("quotes-required", candidates=candidates)
-
-    # only the top node was quoted, so per-root binding is via the AIK:
-    # the certificates come out concealed regardless of the issuer default
-    certificates = []
-    bind = aik_pub.fingerprint()
-    for ref in candidates:
-        manifest = Manifest(
-            subject=sca.config.measure(ref.value.value),
-            properties=sca.policy.lookup(ref.value),
-            timestamp=sca._timestamp(),
-            issuer=sca.name,
-        )
-        certificate = issue_subtree_certificate(sca.key, sca.name, manifest, bind=bind)
-        issue = IssuePackage(manifest, certificate, bind=bind)
-        sca.issued_log.append(issue)
-        certificates.append((ref.coord, issue))
-    return PassiveResult("issued", candidates=candidates, certificates=certificates)
-
-
-def _certifiable_roots(sca: SubtreeCa, root: NodeRef, subtree: SmlTree) -> list[NodeRef]:
-    """Maximal recognisable nodes, top-down; disjoint by construction."""
-    found: list[NodeRef] = []
-
-    def walk(rel: str) -> None:
-        value = root.value if not rel else subtree.node(rel)
-        if not value.is_nil and sca.policy.lookup(value) is not None:
-            found.append(NodeRef(root.coord + rel, value))
-            return
-        if len(rel) < subtree.depth:
-            walk(rel + "0")
-            walk(rel + "1")
-
-    walk("")
-    return found

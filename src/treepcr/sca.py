@@ -5,6 +5,10 @@ property statements. A submitted quote is verified, the node value looked
 up (or justified leaf by leaf from a submitted subtree log), and on
 success a manifest plus subtree certificate come back. Verification
 misses produce distinct refusal codes rather than exceptions.
+Passive issuance lives here too: ``verify_and_issue`` (one quoted node)
+and ``passive_discover`` (every recognisable node of a quoted subtree
+log) share one quote admission, one identity-certificate policy, one
+log check and one ``_issue``.
 """
 
 from __future__ import annotations
@@ -16,17 +20,18 @@ from dataclasses import dataclass, field
 from .certification import (
     CONCEALED,
     REVEALED,
+    AikCertificate,
     AttestationPackage,
     IssuePackage,
     Manifest,
+    aik_certificate_failure,
     issue_subtree_certificate,
     now,
-    verify_aik_certificate,
     verify_ref_value,
 )
 from .crypto import Digest, HashConfig, SHA1, SigningKey, VerifyingKey, parse_digest
-from .engine import refold_reduced_quote, verify_quote
-from .tree import find_inconsistency, parse_sml
+from .engine import Quote, refold_reduced_quote, verify_quote
+from .tree import NodeRef, SmlTree, find_inconsistency, parse_sml
 
 logger = logging.getLogger(__name__)
 
@@ -38,14 +43,16 @@ REJECT_AIK_CERT = "reject-aik-certificate"
 REJECT_PACKAGE = "reject-package"
 REJECT_SUBTREE = "reject-subtree"
 
+Properties = tuple[tuple[str, str], ...]
+
 
 class PolicyTable:
     """Node values the issuer can certify, with their property statements."""
 
-    def __init__(self, entries: dict[bytes, tuple[tuple[str, str], ...]] | None = None) -> None:
+    def __init__(self, entries: dict[bytes, Properties] | None = None) -> None:
         self.entries = dict(entries or {})
 
-    def lookup(self, value: Digest) -> tuple[tuple[str, str], ...] | None:
+    def lookup(self, value: Digest) -> Properties | None:
         if value.value is None:
             return None
         return self.entries.get(value.value)
@@ -98,6 +105,15 @@ class IssueOutcome:
 
 
 @dataclass
+class PassiveResult:
+    status: str  # "issued" | "quotes-required" | reject code
+    detail: str = ""
+    inconsistent_coord: str | None = None
+    candidates: list[NodeRef] = field(default_factory=list)  # absolute coords
+    certificates: list[tuple[str, IssuePackage]] = field(default_factory=list)
+
+
+@dataclass
 class SubtreeCa:
     """Issues manifests and subtree certificates against a policy table."""
 
@@ -124,34 +140,12 @@ class SubtreeCa:
         self._nonces.add(nonce)
         return nonce
 
-    def known_leaf_values(self) -> set[bytes]:
-        return self.leaf_values or set(self.policy.entries)
-
-    def _timestamp(self) -> int:
-        return self.clock() if callable(self.clock) else now()
-
     def verify_and_issue(self, package: AttestationPackage) -> IssueOutcome:
         """Phase-3 work: verify evidence, recognise the value, sign the statement."""
         quote = package.quote
-        if not verify_quote(quote, package.aik_pub):
-            return IssueOutcome(REJECT_SIGNATURE, detail="quote signature invalid")
-        if quote.nonce not in self._nonces:
-            return IssueOutcome(REJECT_FRESHNESS, detail="quote nonce unknown or already used")
-        self._nonces.discard(quote.nonce)
-        if quote.tag == "REDTREEQUOT" and not refold_reduced_quote(quote, self.config):
-            return IssueOutcome(REJECT_PACKAGE, detail="reduced quote does not refold to its root")
-
-        aik_checked = False
-        if package.aik_cert is not None:
-            if self.pca_pub is None:
-                return IssueOutcome(REJECT_AIK_CERT, detail="no privacy-CA anchor configured")
-            if package.aik_cert.aik_pub != package.aik_pub:
-                return IssueOutcome(REJECT_AIK_CERT, detail="certificate names a different key")
-            if not verify_aik_certificate(package.aik_cert, self.pca_pub):
-                return IssueOutcome(REJECT_AIK_CERT, detail="certificate chain invalid")
-            aik_checked = True
-        elif self.require_aik_cert:
-            return IssueOutcome(REJECT_AIK_CERT, detail="identity certificate required")
+        refusal = self._admit(quote, package.aik_pub) or self._check_aik(package.aik_pub, package.aik_cert)
+        if refusal is not None:
+            return refusal
 
         value = quote.node_value
         if value.is_nil:
@@ -161,25 +155,61 @@ class SubtreeCa:
 
         properties = self.policy.lookup(value)
         if properties is None and package.subtree is not None:
-            outcome = self._leaf_coverage(package)
-            if outcome is not None:
-                return outcome
-            properties = self._leaf_properties(package)
+            try:
+                subtree = parse_sml(package.subtree).tree
+            except ValueError as exc:
+                return IssueOutcome(REJECT_SUBTREE, detail=f"unparseable subtree log: {exc}")
+            properties = self._leaf_properties(subtree, package)
+            if isinstance(properties, IssueOutcome):
+                return properties
         if properties is None:
             return IssueOutcome(REFUSED_UNKNOWN, detail="node value not recognised")
-        return IssueOutcome(OK, self._issue(value, properties, quote, package, aik_checked))
+        aik_checked = package.aik_cert is not None
+        return IssueOutcome(OK, self._issue(value, properties, quote, package.aik_pub, self.mode, aik_checked))
 
-    def _issue(self, value, properties, quote, package, aik_checked) -> IssuePackage:
-        concealed = self.mode == CONCEALED
+    def _admit(self, quote: Quote, aik_pub: VerifyingKey | None) -> IssueOutcome | None:
+        """Admit a quote on either route: its signature, then its nonce, spent
+        exactly once, then the refold of a reduced quote. Returns the refusal."""
+        if aik_pub is None or not verify_quote(quote, aik_pub):
+            return IssueOutcome(REJECT_SIGNATURE, detail="quote signature invalid")
+        # one set.remove tests and spends: of concurrent submitters, one wins
+        try:
+            self._nonces.remove(quote.nonce)
+        except KeyError:
+            return IssueOutcome(REJECT_FRESHNESS, detail="quote nonce unknown or already used")
+        if quote.tag == "REDTREEQUOT" and not refold_reduced_quote(quote, self.config):
+            return IssueOutcome(REJECT_PACKAGE, detail="reduced quote does not refold to its root")
+        return None
+
+    def _check_aik(self, aik_pub: VerifyingKey | None, aik_cert: AikCertificate | None) -> IssueOutcome | None:
+        """Identity-certificate policy: a certificate sent must vouch for the
+        key; sending none is refused only when the policy requires one."""
+        if aik_cert is None:
+            failure = "identity certificate required" if self.require_aik_cert else None
+        else:
+            failure = aik_certificate_failure(aik_cert, aik_pub, self.pca_pub)
+        return None if failure is None else IssueOutcome(REJECT_AIK_CERT, detail=failure)
+
+    def _check_log(self, subtree: SmlTree, claimed: Digest | None) -> tuple[str, str | None] | None:
+        """(refusal detail, first bad coordinate) for a submitted log, or None if sound."""
+        if subtree.config != self.config:
+            return "hash algorithm mismatch", None
+        bad = find_inconsistency(subtree, claimed)
+        if bad is not None:
+            return f"inconsistent at {bad or '<root>'}", bad
+        return None
+
+    def _issue(self, value, properties, quote, aik_pub, mode, aik_checked) -> IssuePackage:
+        concealed = mode == CONCEALED
         subject = self.config.measure(value.value) if concealed else value
         manifest = Manifest(
             subject=subject,
             properties=tuple(properties),
-            timestamp=self._timestamp(),
+            timestamp=self.clock() if callable(self.clock) else now(),
             issuer=self.name,
             aik_checked=aik_checked,
         )
-        bind = package.aik_pub.fingerprint() if concealed else None
+        bind = aik_pub.fingerprint() if concealed else None
         certificate = issue_subtree_certificate(
             self.key,
             self.name,
@@ -189,53 +219,93 @@ class SubtreeCa:
         )
         issue = IssuePackage(manifest, certificate, bind=bind)
         self.issued_log.append(issue)
-        logger.info("issued %s certificate for %s", self.mode, subject.to_text())
+        logger.info("issued %s certificate for %s", mode, subject.to_text())
         return issue
 
-    def _leaf_coverage(self, package: AttestationPackage) -> IssueOutcome | None:
+    def _leaf_properties(self, subtree: SmlTree, package: AttestationPackage) -> IssueOutcome | Properties:
         """Certification from leaf values: the log must refold to the quoted
-        value and every occupied leaf must be known or attested by a
-        trusted reference issuer. Returns a rejection, or None when covered."""
-        try:
-            doc = parse_sml(package.subtree)
-        except ValueError as exc:
-            return IssueOutcome(REJECT_SUBTREE, detail=f"unparseable subtree log: {exc}")
-        subtree = doc.tree
-        if subtree.config != self.config:
-            return IssueOutcome(REJECT_SUBTREE, detail="hash algorithm mismatch")
-        bad = find_inconsistency(subtree, package.quote.node_value)
-        if bad is not None:
-            return IssueOutcome(REJECT_SUBTREE, detail=f"inconsistent at {bad or '<root>'}")
-        known = self.known_leaf_values()
-        vouched = set()
+        value and every occupied leaf must be known or attested by a trusted
+        reference issuer. Returns the rejection, or the properties of the
+        policy-listed leaves followed by how the leaves were covered."""
+        bad_log = self._check_log(subtree, package.quote.node_value)
+        if bad_log is not None:
+            return IssueOutcome(REJECT_SUBTREE, detail=bad_log[0])
+        covered = set(self.leaf_values or self.policy.entries)
         for entry in package.aux:
             issuer_pub = self.ref_issuers.get(entry.issuer)
             if issuer_pub is None or not verify_ref_value(entry, issuer_pub):
                 return IssueOutcome(REJECT_SUBTREE, detail=f"untrusted reference attestation from {entry.issuer!r}")
             if entry.value.value is not None:
-                vouched.add(entry.value.value)
+                covered.add(entry.value.value)
+        merged: list[tuple[str, str]] = []
+        unlisted = 0
         for coord in subtree.leaf_coords():
             leaf = subtree.node(coord)
             if leaf.is_nil:
                 continue
-            if leaf.value not in known and leaf.value not in vouched:
+            if leaf.value not in covered:
                 return IssueOutcome(REJECT_SUBTREE, detail=f"leaf {coord} not covered by policy or references")
-        return None
-
-    def _leaf_properties(self, package: AttestationPackage) -> tuple[tuple[str, str], ...]:
-        doc = parse_sml(package.subtree)
-        merged: list[tuple[str, str]] = []
-        vouched = 0
-        for coord in sorted(doc.tree.leaf_coords()):
-            leaf = doc.tree.node(coord)
-            if leaf.is_nil:
-                continue
             props = self.policy.lookup(leaf)
             if props is None:
-                vouched += 1
+                unlisted += 1
                 continue
             for pair in props:
                 if pair not in merged:
                     merged.append(pair)
-        merged.append(("leaves-covered", "policy" if vouched == 0 else f"references:{vouched}"))
+        merged.append(("leaves-covered", "policy" if unlisted == 0 else f"references:{unlisted}"))
         return tuple(merged)
+
+
+def passive_discover(
+    sca: SubtreeCa,
+    root: NodeRef,
+    subtree: SmlTree,
+    quote: Quote | None = None,
+    aik_pub: VerifyingKey | None = None,
+) -> PassiveResult:
+    """Issuer-side traversal of a submitted subtree log.
+
+    With a quote over the subtree root the issuer verifies the log and
+    certifies every maximal recognisable node (concealed binding, since
+    only the top node was quoted). Without a quote it answers lazily with
+    the candidate coordinates; the platform then quotes each candidate
+    and runs the ordinary attestation exchange per root.
+    """
+    refusal = None
+    if quote is not None:
+        refusal = sca._admit(quote, aik_pub)
+        if refusal is None and quote.node_value != root.value:
+            refusal = IssueOutcome(REJECT_SUBTREE, detail="quote does not cover the claimed root")
+    # a passive submission carries no identity certificate to check
+    refusal = refusal or sca._check_aik(aik_pub, None)
+    if refusal is not None:
+        return PassiveResult(refusal.status, refusal.detail)
+    bad_log = sca._check_log(subtree, root.value if quote is not None else None)
+    if bad_log is not None:
+        return PassiveResult(REJECT_SUBTREE, *bad_log)
+
+    candidates = _certifiable_roots(sca, root, subtree)
+    if quote is None:
+        return PassiveResult("quotes-required", candidates=candidates)
+
+    # only the top node was quoted, so per-root binding is via the AIK:
+    # the certificates come out concealed regardless of the issuer default
+    certificates = [
+        (ref.coord, sca._issue(ref.value, sca.policy.lookup(ref.value), quote, aik_pub, CONCEALED, False))
+        for ref in candidates
+    ]
+    return PassiveResult(OK, candidates=candidates, certificates=certificates)
+
+
+def _certifiable_roots(sca: SubtreeCa, root: NodeRef, subtree: SmlTree) -> list[NodeRef]:
+    """Maximal recognisable nodes, top-down and left first; disjoint by construction."""
+    found: list[NodeRef] = []
+    todo = [""]  # relative coordinates, next one last
+    while todo:
+        rel = todo.pop()
+        value = subtree.node(rel) if rel else root.value
+        if sca.policy.lookup(value) is not None:  # never for the nil value
+            found.append(NodeRef(root.coord + rel, value))
+        elif len(rel) < subtree.depth:
+            todo += (rel + "1", rel + "0")
+    return found

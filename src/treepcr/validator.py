@@ -16,9 +16,9 @@ from .certification import (
     AikCertificate,
     Manifest,
     SubtreeCertificate,
+    aik_certificate_failure,
     measure_certificate,
     measure_manifest,
-    verify_aik_certificate,
     verify_subtree_certificate,
 )
 from .crypto import Digest, HashConfig, SHA1, VerifyingKey, digest_from_wire, digest_to_wire
@@ -110,13 +110,8 @@ def validate_subtree(
     if quote.tag == "REDTREEQUOT" and not refold_reduced_quote(quote, config):
         return _reject("reduced-tree-mismatch")
 
-    if bundle.aik_cert is not None:
-        if pca_pub is None:
-            return _reject("aik-certificate")
-        if bundle.aik_cert.aik_pub != bundle.aik_pub:
-            return _reject("aik-certificate")
-        if not verify_aik_certificate(bundle.aik_cert, pca_pub):
-            return _reject("aik-certificate")
+    if bundle.aik_cert is not None and aik_certificate_failure(bundle.aik_cert, bundle.aik_pub, pca_pub):
+        return _reject("aik-certificate")
 
     cert = bundle.certificate
     if cert.mode == REVEALED:

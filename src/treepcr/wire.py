@@ -17,10 +17,10 @@ from typing import Callable
 
 from .certification import AttestationPackage, IssuePackage
 from .crypto import VerifyingKey, digest_from_wire, digest_to_wire
-from .discovery import PassiveResult, passive_discover
+from .discovery import DiscoveryData
 from .encoding import EncodingError, pack_fields, unpack_fields
 from .engine import Quote
-from .sca import IssueOutcome, SubtreeCa
+from .sca import OK, IssueOutcome, PassiveResult, SubtreeCa, passive_discover
 from .tree import NodeRef, parse_sml
 
 logger = logging.getLogger(__name__)
@@ -172,7 +172,7 @@ class _Handler(socketserver.BaseRequestHandler):
             subtree = parse_sml(subtree_bytes).tree
             result = passive_discover(sca, root, subtree, quote=quote, aik_pub=aik_pub)
             for _, issue in result.certificates:
-                server.log_issue(IssueOutcome("issued", issue))
+                server.log_issue(IssueOutcome(OK, issue))
             return MSG_PASSIVE_RESP, pack_passive_result(result)
         if msg_type == MSG_DISCOVERY:
             return MSG_DISCOVERY_RESP, server.discovery_text().encode("utf-8")
@@ -184,6 +184,8 @@ class ScaServer(socketserver.ThreadingTCPServer):
 
     allow_reuse_address = True
     daemon_threads = True
+    # the default backlog of 5 overflows under connect bursts; each dropped SYN costs ~1 s
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(
         self,
@@ -203,8 +205,6 @@ class ScaServer(socketserver.ThreadingTCPServer):
     def discovery_text(self) -> str:
         if self.discovery is not None:
             return self.discovery.to_text()
-        from .discovery import DiscoveryData
-
         return DiscoveryData(values=frozenset(self.sca.policy.values())).to_text()
 
     def log_issue(self, outcome: IssueOutcome) -> None:

@@ -2,7 +2,10 @@
 
 Everything here is brute force over plain dicts of ``bytes | None``
 (None = empty) and talks to hashlib directly, so no code path is shared
-with the package under test.
+with the package under test. The one exception is
+``brute_bottom_up_candidates``: the earlier quadratic bottom-up discovery,
+kept as written, which reads an ``SmlTree`` and returns the package's own
+candidate objects so whole results can be compared.
 """
 
 from __future__ import annotations
@@ -212,3 +215,47 @@ def brute_span_candidates(
         if full(coord) and (not coord or not full(coord[:-1])):
             out.append(coord)
     return sorted(out, key=lambda c: (len(c), c))
+
+
+def brute_bottom_up_candidates(tree, data):
+    """Reference bottom-up discovery: rescans the occupied leaves under every
+    coordinate (quadratic); returns the same DiscoveryResult shape."""
+    from treepcr.discovery import DiscoveryResult, SpanCandidate
+    from treepcr.tree import recompute_root
+
+    if not data.leaf_values:
+        raise ValueError("bottom-up discovery needs leaf values")
+    known: dict[str, bool] = {}
+    occupied: dict[str, list[str]] = {}
+    for coord in tree.leaf_coords():
+        value = tree.node(coord)
+        if not value.is_nil:
+            known[coord] = value in data.leaf_values
+            occupied[coord] = [coord]
+
+    def leaves_under(coord: str) -> list[str]:
+        return [c for c in occupied if c.startswith(coord)]
+
+    def full(coord: str) -> bool:
+        leaves = leaves_under(coord)
+        return bool(leaves) and all(known[c] for c in leaves)
+
+    candidates: list[SpanCandidate] = []
+    gapped_done: set[str] = set()
+    spans = [""] + [c for c in tree.coords()]
+    for coord in spans:
+        if not full(coord):
+            continue
+        if coord and full(coord[:-1]):
+            continue  # parent reports instead; keep candidates maximal
+        value = tree.node(coord) if coord else recompute_root(tree)
+        candidates.append(SpanCandidate(coord, value, full=True))
+        if coord:
+            parent = coord[:-1]
+            if parent not in gapped_done:
+                gapped_done.add(parent)
+                missing = tuple(sorted(c for c in leaves_under(parent) if not known[c]))
+                parent_value = tree.node(parent) if parent else recompute_root(tree)
+                candidates.append(SpanCandidate(parent, parent_value, full=False, missing=missing))
+    candidates.sort(key=lambda c: (len(c.coord), c.coord, not c.full))
+    return DiscoveryResult(candidates=candidates)

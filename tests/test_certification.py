@@ -1,4 +1,6 @@
 import secrets
+import sys
+import threading
 
 import pytest
 
@@ -215,6 +217,31 @@ class TestScaIssue:
         assert sca.verify_and_issue(package).status == OK
         replay = platform.quote_node("01", nonce)  # same nonce again
         assert sca.verify_and_issue(build_attestation_package(replay, aik.public)).status == REJECT_FRESHNESS
+
+    def test_nonce_single_use_under_concurrent_submitters(self, rng, aik, pca):
+        platform = certified_platform(rng, aik, pca)
+        sca = sca_for(platform, "01", "revealed", pca)
+        package = build_attestation_package(platform.quote_node("01", sca.issue_nonce()), aik.public)
+        barrier = threading.Barrier(8)
+        statuses = []
+
+        def submit():
+            barrier.wait(timeout=30)
+            statuses.append(sca.verify_and_issue(package).status)
+
+        threads = [threading.Thread(target=submit) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(statuses) == [OK] + [REJECT_FRESHNESS] * 7
+        assert len(sca.issued_log) == 1
 
     def test_value_mismatch_rejected(self, rng, aik, pca):
         platform = certified_platform(rng, aik, pca)

@@ -1,16 +1,19 @@
+import random
 import secrets
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_platform
 from oracle import (
     brute_active_matches,
+    brute_bottom_up_candidates,
     brute_span_candidates,
     build_full_tree,
     random_digest,
     random_leaves,
 )
-from treepcr import SHA256, Digest, NodeRef, SHA1, SigningKey, extract_subtree, serialize_sml
+from treepcr import NIL, SHA256, Digest, NodeRef, SHA1, SigningKey, extract_subtree, serialize_sml
 from treepcr.certification import build_attestation_package, issue_ref_value
 from treepcr.discovery import (
     DiscoveryData,
@@ -19,7 +22,15 @@ from treepcr.discovery import (
     passive_discover,
 )
 from treepcr.protocol import certify_subtree
-from treepcr.sca import OK, REJECT_AIK_CERT, REJECT_SUBTREE, PolicyTable, SubtreeCa
+from treepcr.sca import (
+    OK,
+    REJECT_AIK_CERT,
+    REJECT_FRESHNESS,
+    REJECT_PACKAGE,
+    REJECT_SUBTREE,
+    PolicyTable,
+    SubtreeCa,
+)
 from treepcr.validator import validate_subtree
 from treepcr.protocol import make_validation_bundle
 
@@ -161,6 +172,26 @@ class TestBottomUp:
                 if coord:
                     assert coord[:-1] not in full
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        depth=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32),
+        known_share=st.floats(min_value=0.0, max_value=1.0),
+        nil_share=st.floats(min_value=0.0, max_value=0.5),
+    )
+    def test_whole_candidate_list_matches_brute_force(self, depth, seed, known_share, nil_share):
+        rng = random.Random(seed)
+        leaves = random_leaves(rng, depth)
+        platform = make_platform(leaves, depth)
+        for coord in platform.tree.leaf_coords():
+            if rng.random() < nil_share:
+                platform.tree.set_node(coord, NIL)  # gaps anywhere, not only on the right
+        known = {Digest(raw) for raw in leaves if rng.random() < known_share}
+        known.add(Digest(random_digest(rng)))  # a trusted value the log does not hold
+        data = DiscoveryData(leaf_values=frozenset(known))
+        got = bottom_up_candidates(platform.tree, data).candidates
+        assert got == brute_bottom_up_candidates(platform.tree, data).candidates
+
     def test_needs_leaf_values(self, rng):
         platform = make_platform(random_leaves(rng, 2, count=4), 2)
         with pytest.raises(ValueError):
@@ -271,6 +302,45 @@ class TestPassive:
         assert result.status == REJECT_AIK_CERT
         assert result.certificates == [] and sca.issued_log == []
         assert passive_discover(sca, root, sub, quote=None).status == REJECT_AIK_CERT
+
+    def test_reduced_quote_that_does_not_refold_refused(self, rng):
+        # a made-up depth-2 subtree whose node "0" the policy knows, placed at
+        # coordinate "0" of the device's tree under a random sibling: the
+        # device signs the reduced quote, but it cannot refold to the root
+        platform = make_platform(random_leaves(rng, 3, count=8), 3)
+        forged = make_platform(random_leaves(rng, 2, count=4), 2)
+        sca = sca_with([forged.tree.node("0")])
+        fake_root = forged.root()
+        quote = platform.engine.reduced_tree_quote(
+            fake_root, [Digest(random_digest(rng))], "0", platform.root_reg, platform.aik, sca.issue_nonce()
+        )
+        root = NodeRef("0", fake_root)
+        result = passive_discover(sca, root, forged.tree, quote=quote, aik_pub=platform.aik.public)
+        assert result.status == REJECT_PACKAGE
+        assert result.detail == "reduced quote does not refold to its root"
+        assert result.certificates == [] and sca.issued_log == []
+
+    def test_nonce_spent_on_passive_route_refused_on_active_route(self, rng):
+        platform = make_platform(random_leaves(rng, 3, count=8), 3)
+        sca = sca_with([platform.tree.node("00")])
+        nonce = sca.issue_nonce()
+        root, sub, _ = self._submission(rng, platform, "0", sca, with_quote=False)
+        quote = platform.quote_node("0", nonce)
+        assert passive_discover(sca, root, sub, quote=quote, aik_pub=platform.aik.public).status == OK
+        replay = build_attestation_package(platform.quote_node("00", nonce), platform.aik.public)
+        assert sca.verify_and_issue(replay).status == REJECT_FRESHNESS
+
+    def test_nonce_spent_on_active_route_refused_on_passive_route(self, rng):
+        platform = make_platform(random_leaves(rng, 3, count=8), 3)
+        sca = sca_with([platform.tree.node("00")])
+        nonce = sca.issue_nonce()
+        package = build_attestation_package(platform.quote_node("00", nonce), platform.aik.public)
+        assert sca.verify_and_issue(package).status == OK
+        root, sub, _ = self._submission(rng, platform, "0", sca, with_quote=False)
+        replay = platform.quote_node("0", nonce)
+        result = passive_discover(sca, root, sub, quote=replay, aik_pub=platform.aik.public)
+        assert result.status == REJECT_FRESHNESS
+        assert result.certificates == [] and len(sca.issued_log) == 1
 
     def test_hash_algorithm_mismatch_refused(self, rng):
         platform = make_platform(random_leaves(rng, 3, "sha256", count=8), 3, config=SHA256)
