@@ -614,6 +614,67 @@ class TestAdmin:
                     assert state is RegisterState.CR
 
 
+def _load(p, coord):
+    return p.engine.reduced_tree_verify_load(p.node(coord), p.reduced(coord), p.root_reg)
+
+
+#: (command, coordinate, RT registers it needs, how to run it on a platform)
+FOOTPRINTS = [
+    ("verify", "010", 1, lambda p, c: p.engine.reduced_tree_verify(p.node(c), p.reduced(c), p.root_reg)),
+    ("verify-load", "0", 2, _load),
+    ("verify-load", "01", 3, _load),
+    ("verify-load", "010", 4, _load),
+    ("node-verify", "010", 3, lambda p, c: p.engine.tree_node_verify(c, p.reduced(c), p.trace(c), p.root_reg) or "intact"),
+    ("tree-node-quote", "010", 1, lambda p, c: p.quote_node(c, b"n")),
+    ("reduced-tree-quote", "010", 0, lambda p, c: p.quote_reduced(c, b"n")),
+    ("verified-update", "010", 4, lambda p, c: p.engine.tree_node_verified_update(
+        p.node(c), SHA1.measure(b"new"), p.reduced(c), p.root_reg)),
+]
+
+
+class TestRegisterFootprint:
+    """Each tree command allocates exactly its fixed count of RT registers."""
+
+    @staticmethod
+    def _seated(rng, free):
+        # closed depth-3 tree; a second open tree takes up all but ``free`` registers
+        platform = make_platform(random_leaves(rng, 3, count=8), 3)
+        filler = platform.engine.free_register_count() - free
+        platform.engine.create_tree(filler - 1)
+        assert platform.engine.free_register_count() == free
+        return platform
+
+    @staticmethod
+    def _snapshot(engine):
+        return [(engine.register_value(i), engine.register_state(i)) for i in range(engine.register_count)]
+
+    @pytest.mark.parametrize("command, coord, need, run", [pytest.param(*c, id=f"{c[0]}-{c[1]}") for c in FOOTPRINTS])
+    def test_exact_footprint_succeeds_and_returns_registers(self, rng, command, coord, need, run):
+        platform = self._seated(rng, need)
+        engine = platform.engine
+        result = run(platform, coord)
+        assert result is not None
+        if command == "verify-load":
+            session = result.session
+            assert engine.register_value(session.staging_reg) == platform.root()
+            assert [engine.register_value(r) for r in session.buffer_regs] == [
+                ref.value for ref in platform.reduced(coord)
+            ]
+            for reg in (*session.buffer_regs, session.staging_reg):
+                engine.release(reg)
+        assert engine.free_register_count() == need
+
+    @pytest.mark.parametrize(
+        "command, coord, need, run", [pytest.param(*c, id=f"{c[0]}-{c[1]}") for c in FOOTPRINTS if c[2] > 0]
+    )
+    def test_one_register_short_changes_nothing(self, rng, command, coord, need, run):
+        platform = self._seated(rng, need - 1)
+        before = self._snapshot(platform.engine)
+        with pytest.raises(InsufficientRegisters):
+            run(platform, coord)
+        assert self._snapshot(platform.engine) == before
+
+
 class TestPersistence:
     def test_closed_tree_document_round_trip(self, rng):
         from treepcr import Platform
