@@ -3,7 +3,8 @@
 
 Builds a measured tree, runs both certificate-binding modes against a
 loopback authority service, files the full binding layout into the log,
-and validates from a star-node quote. Prints what each side sees.
+and validates from a star-node quote. Prints what each side sees, and
+exits 1 when any check it prints is false.
 """
 
 import secrets
@@ -51,6 +52,7 @@ def main() -> int:
 
     policy = PolicyTable()
     policy.add(subtree_value, [("function", "trusted-base"), ("components", "4")])
+    checks: list[bool] = []
 
     for mode in ("revealed", "concealed"):
         sca = SubtreeCa(key=SigningKey.generate(), policy=policy, mode=mode, pca_pub=pca.public)
@@ -68,17 +70,19 @@ def main() -> int:
                 measure_certificate(credential.certificate, SHA1),
                 measure_manifest(credential.manifest, SHA1),
             )
-            print(f"[{mode}] star node {target + '0'} = m(cert) ⋄ m(manifest): {star == folded}")
+            checks.append(star == folded)
+            print(f"[{mode}] star node {target + '0'} = m(cert) ⋄ m(manifest): {checks[-1]}")
 
             nonce = secrets.token_bytes(16)
             bundle = make_validation_bundle(fresh, credential, nonce, send_aik_cert=True)
             result = validate_subtree(
                 bundle, sca_pub=sca.public, nonce=nonce, pca_pub=pca.public
             )
-            hidden = credential.node_value.value not in bundle.to_bytes()
+            checks.append(result.accepted)
             print(f"[{mode}] validation via {bundle.binding} binding: {result.reason}")
             if mode == "concealed":
-                print(f"[{mode}] certified value absent from everything sent: {hidden}")
+                checks.append(credential.node_value.value not in bundle.to_bytes())
+                print(f"[{mode}] certified value absent from everything sent: {checks[-1]}")
         finally:
             server.shutdown()
             server.server_close()
@@ -87,8 +91,9 @@ def main() -> int:
     victim = build_platform(aik)
     victim.tree.set_node("010", Digest(SHA1.measure(b"malicious-swap").value))
     breach = victim.diagnose_node("010")
+    checks.append(breach is not None)
     print(f"  swapped leaf detected, breach at level {breach.level} of 3" if breach else "  undetected!")
-    return 0
+    return 0 if all(checks) else 1
 
 
 if __name__ == "__main__":

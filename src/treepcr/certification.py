@@ -149,16 +149,17 @@ def aik_certificate_failure(
 class SubtreeCertificate:
     """The issuer's signature binding a manifest to a platform.
 
-    ``bind`` carries the AIK fingerprint in concealed mode. An optional
-    embedded fingerprint may serve directly as a node update value when
-    its length matches the tree's digest size.
+    ``bind`` carries the AIK fingerprint in concealed mode. The node
+    value a certificate stands for is the hash of its encoding
+    (``measure_certificate``), never a value carried beside the
+    signature. The encoding keeps a sixth field that is always empty, so
+    the bytes of issued certificates stay as they were.
     """
 
     mode: str
     issuer: str
     signature: Signature
     bind: bytes | None = None
-    fingerprint: bytes | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -173,18 +174,19 @@ class SubtreeCertificate:
             self.signature.data,
             self.signature.signer,
             b"" if self.bind is None else b"b" + self.bind,
-            b"" if self.fingerprint is None else b"f" + self.fingerprint,
+            b"",
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SubtreeCertificate":
-        mode, issuer, sig, signer, bind, fingerprint = unpack_fields(data, count=6)
+        mode, issuer, sig, signer, bind, unsigned = unpack_fields(data, count=6)
+        if unsigned:
+            raise EncodingError("certificate carries a field its signature does not cover")
         return cls(
             mode=mode.decode("ascii"),
             issuer=issuer.decode("utf-8"),
             signature=Signature(sig, signer),
             bind=None if not bind else bind[1:],
-            fingerprint=None if not fingerprint else fingerprint[1:],
         )
 
     def describe(self) -> str:
@@ -207,11 +209,10 @@ def issue_subtree_certificate(
     manifest: Manifest,
     quote: Quote | None = None,
     bind: bytes | None = None,
-    fingerprint: bytes | None = None,
 ) -> SubtreeCertificate:
     mode = REVEALED if quote is not None else CONCEALED
     signature = sign(key, "CERT", certificate_payload(manifest, quote, bind))
-    return SubtreeCertificate(mode, issuer, signature, bind=bind, fingerprint=fingerprint)
+    return SubtreeCertificate(mode, issuer, signature, bind=bind)
 
 
 def verify_subtree_certificate(
@@ -235,10 +236,7 @@ def measure_manifest(manifest: Manifest, config: HashConfig) -> Digest:
 
 
 def measure_certificate(cert: SubtreeCertificate, config: HashConfig) -> Digest:
-    """One-way node value for a certificate; an embedded fingerprint of the
-    right size is used directly instead of hashing."""
-    if cert.fingerprint is not None and len(cert.fingerprint) == config.size:
-        return Digest(cert.fingerprint)
+    """One-way node value for a certificate: the hash of its encoding."""
     return config.measure(cert.to_bytes())
 
 

@@ -67,7 +67,10 @@ def _address(text: str) -> tuple[str, int]:
 
 def cmd_keygen(args) -> int:
     key = SigningKey.generate()
-    with open(args.out, "w", encoding="ascii") as fh:
+    # the seed is the private key: owner-only, also when overwriting a file
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    os.fchmod(fd, 0o600)
+    with open(fd, "w", encoding="ascii") as fh:
         fh.write(key.seed().hex() + "\n")
     pub_path = args.pub or args.out + ".pub"
     with open(pub_path, "w", encoding="ascii") as fh:

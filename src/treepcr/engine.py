@@ -2,10 +2,11 @@
 
 A single logical device: a fixed array of verification data registers
 plus the commands that build, verify, update, and quote hash trees whose
-roots those registers protect. Every value the commands combine lives in
-a register while in use, commands run under exclusive access, and
-verification outcomes are ordinary results while state and session
-violations are raised as errors.
+roots those registers protect. Each command holds the registers the
+device model gives it, but the commands share one fold (``fold_path``),
+one root gate, one quote signer and one session digest. Commands run
+under exclusive access; verification misses are ordinary results, while
+state and session violations are raised as errors.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ from .crypto import (
     sign,
     verify,
 )
-from .encoding import pack_fields, pack_u32, unpack_fields
+from .encoding import EncodingError, pack_fields, pack_u32, unpack_fields
 from .tree import (
     NodeRef,
     ReducedTree,
     Trace,
     check_coord,
+    fold_path,
     fold_to_root,
     is_reduced_of,
     is_trace_of,
@@ -205,6 +207,12 @@ class Quote:
         (tag, value, nonce, sig, signer, aik_id, coord, reduced, root_reg, root_val) = unpack_fields(
             data, count=10
         )
+        # a root REDTREEQUOT has an empty sibling field, so the tag decides
+        reduced_tree = tag == b"REDTREEQUOT"
+        if reduced_tree and not (root_reg and root_val):
+            raise EncodingError("reduced-tree quote lacks its root register or root value")
+        if not reduced_tree and (tag not in (b"QUOT", b"TREEQUOT") or reduced or root_reg or root_val):
+            raise EncodingError(f"quote tag {tag!r} is unknown or carries reduced-tree fields")
         return cls(
             tag=tag.decode("ascii"),
             node_value=digest_from_wire(value),
@@ -212,11 +220,9 @@ class Quote:
             signature=Signature(sig, signer),
             aik_id=aik_id,
             coord=None if not coord else coord[1:].decode("ascii"),
-            reduced_values=None
-            if not reduced
-            else tuple(digest_from_wire(f) for f in unpack_fields(reduced)),
-            root_register=None if not root_reg else int.from_bytes(root_reg, "big"),
-            root_value=None if not root_val else digest_from_wire(root_val),
+            reduced_values=tuple(map(digest_from_wire, unpack_fields(reduced))) if reduced_tree else None,
+            root_register=int.from_bytes(root_reg, "big") if reduced_tree else None,
+            root_value=digest_from_wire(root_val) if reduced_tree else None,
         )
 
 
@@ -254,8 +260,8 @@ def refold_reduced_quote(quote: Quote, config: HashConfig) -> bool:
     """Receiver-side check of a REDTREEQUOT: fold node through siblings, compare root."""
     if quote.tag != "REDTREEQUOT" or quote.reduced_values is None or quote.root_value is None:
         raise ValueError("not a reduced-tree quote")
-    coord = quote.coord if quote.coord is not None else ""
-    if len(coord) != len(quote.reduced_values):
+    coord = quote.coord or ""  # unsigned, so a malformed one is a failed refold
+    if len(coord) != len(quote.reduced_values) or coord.strip("01"):
         return False
     return fold_to_root(quote.node_value, coord, quote.reduced_values, config) == quote.root_value
 
@@ -532,6 +538,24 @@ class TreeTpm:
 
     # -- verification and update -----------------------------------------
 
+    def _root(self, reg: int, complete: bool = False) -> tuple[Register, _TreeMeta]:
+        """The root register ``reg`` (a complete one when asked) and its tree."""
+        register = self._reg(reg)
+        if complete and register.state is not RegisterState.CR:
+            raise StateViolation("tree quotes require a complete (CR) root")
+        if register.state not in (RegisterState.AR, RegisterState.CR):
+            raise StateViolation(f"register {reg} does not hold a root")
+        return register, self._meta_for_root(reg)
+
+    @staticmethod
+    def _session_auth(nonce: bytes) -> bytes:
+        return hashlib.sha256(pack_fields(b"session", nonce)).digest()
+
+    @staticmethod
+    def _trace(coord: str, path: list[Digest]) -> Trace:
+        """Top-down trace of a node from its ``fold_path`` (node first, root last)."""
+        return [NodeRef(c, v) for c, v in zip(trace_coords(coord), reversed(path[:-1]))]
+
     def _check_verify_inputs(self, node: NodeRef, reduced: ReducedTree, meta: _TreeMeta) -> None:
         check_coord(node.coord, meta.depth)
         self.config.check(node.value)
@@ -545,76 +569,54 @@ class TreeTpm:
     ) -> VerifyLoadResult | None:
         """Verify a node against the root and keep its siblings loaded.
 
-        On success the siblings stay in RT registers and an update session
-        is armed; on a root mismatch everything is released and None is
-        returned (a verification miss is a result, not an error).
+        On success the siblings stay in RT buffer registers, the staging
+        register holds the folded root and an update session is armed; on
+        a root mismatch everything is released and None is returned (a
+        verification miss is a result, not an error).
         """
         with self._lock:
             seq = self._command("reduced_tree_verify_load", root_reg, node.coord)
-            register = self._reg(root_reg)
-            if register.state not in (RegisterState.AR, RegisterState.CR):
-                raise StateViolation(f"register {root_reg} does not hold a root")
-            meta = self._meta_for_root(root_reg)
+            register, meta = self._root(root_reg)
             self._check_verify_inputs(node, reduced, meta)
             level = len(node.coord)
             self.stats.verify_ops += 1
 
             slots = self._alloc(level + 1, RegisterState.RT, meta.uid)
-            buffers, staging = slots[:level], slots[level]
-            for slot, ref in zip(buffers, reduced):
-                self._regs[slot].value = ref.value
-                self._regs[slot].coord = ref.coord
-            self._regs[staging].value = node.value
-            self._regs[staging].coord = node.coord
-
-            emitted: list[Digest] = []
-            for k in range(level, 0, -1):
-                emitted.append(self._regs[staging].value)
-                self._regs[staging].value = self.config.chiral_extend(
-                    self._regs[buffers[k - 1]].value, node.coord[k - 1], self._regs[staging].value
-                )
-            if self._regs[staging].value != register.value:
+            path = fold_path(node.value, node.coord, [ref.value for ref in reduced], self.config)
+            # the buffers hold the siblings, the staging register the folded root
+            for slot, (coord, value) in zip(slots, [*reduced, NodeRef(node.coord, path[-1])]):
+                self._regs[slot].coord, self._regs[slot].value = coord, value
+            if path[-1] != register.value:
                 self._free_regs(slots)
                 logger.debug("cmd %d verification error", seq)
                 return None
 
-            trace = [
-                NodeRef(coord, value)
-                for coord, value in zip(trace_coords(node.coord), reversed(emitted))
-            ]
             nonce = pack_u32(seq) + pack_u32(next(self._command_counter))
             session = UpdateSession(
                 session_id=next(self._session_counter),
                 coord=node.coord,
                 root_reg=root_reg,
-                buffer_regs=tuple(buffers),
-                staging_reg=staging,
+                buffer_regs=tuple(slots[:level]),
+                staging_reg=slots[level],
                 tree_uid=meta.uid,
                 nonce=nonce,
-                auth=hashlib.sha256(pack_fields(b"session", nonce)).digest(),
+                auth=self._session_auth(nonce),
             )
             self._sessions[session.session_id] = session
-            return VerifyLoadResult(trace, session)
+            return VerifyLoadResult(self._trace(node.coord, path), session)
 
     def reduced_tree_verify(self, node: NodeRef, reduced: ReducedTree, root_reg: int) -> Digest | None:
         """Single-register verification: streams the siblings, arms nothing."""
         with self._lock:
             seq = self._command("reduced_tree_verify", root_reg, node.coord)
-            register = self._reg(root_reg)
-            if register.state not in (RegisterState.AR, RegisterState.CR):
-                raise StateViolation(f"register {root_reg} does not hold a root")
-            meta = self._meta_for_root(root_reg)
+            register, meta = self._root(root_reg)
             self._check_verify_inputs(node, reduced, meta)
             self.stats.verify_ops += 1
 
-            (slot,) = self._alloc(1, RegisterState.RT, meta.uid)
-            acc, chiral_extend = self._regs[slot], self.config.chiral_extend
-            acc.value = node.value
-            for k in range(len(node.coord), 0, -1):
-                acc.value = chiral_extend(reduced[k - 1].value, node.coord[k - 1], acc.value)
-            matched = acc.value == register.value
-            self._free_regs([slot])
-            if not matched:
+            slots = self._alloc(1, RegisterState.RT, meta.uid)
+            root = fold_to_root(node.value, node.coord, [ref.value for ref in reduced], self.config)
+            self._free_regs(slots)
+            if root != register.value:
                 logger.debug("cmd %d verification error", seq)
                 return None
             return register.value
@@ -622,13 +624,14 @@ class TreeTpm:
     def tree_node_verify(
         self, coord: str, reduced: ReducedTree, trace: Trace, root_reg: int
     ) -> NodeVerifyBreach | None:
-        """Top-down diagnostic walk; returns the first breached level, or None when intact."""
+        """Top-down diagnostic walk; returns the first breached level, or None when intact.
+
+        Level k is intact when its trace value extended with its sibling
+        gives the value one level up: the root register for level 1.
+        """
         with self._lock:
             self._command("tree_node_verify", root_reg, coord)
-            register = self._reg(root_reg)
-            if register.state not in (RegisterState.AR, RegisterState.CR):
-                raise StateViolation(f"register {root_reg} does not hold a root")
-            meta = self._meta_for_root(root_reg)
+            register, meta = self._root(root_reg)
             check_coord(coord, meta.depth)
             if not is_trace_of(trace, coord):
                 raise ValueError("trace coordinates do not match the node coordinate")
@@ -638,22 +641,17 @@ class TreeTpm:
                 self.config.check(ref.value)
             self.stats.verify_ops += 1
 
+            # the device walks with three working registers: parent, trace value, computed value
             slots = self._alloc(3, RegisterState.RT, meta.uid)
-            b, c, d = slots
-            result: NodeVerifyBreach | None = None
-            self._regs[c].value = register.value
-            for k in range(1, len(coord) + 1):
-                self._regs[b].value = trace[k - 1].value
-                self._regs[d].value = trace[k - 1].value
-                self._regs[b].value = self.config.chiral_extend(
-                    reduced[k - 1].value, coord[k - 1], self._regs[b].value
-                )
-                if self._regs[c].value != self._regs[b].value:
-                    result = NodeVerifyBreach(k, self._regs[b].value)
-                    break
-                self._regs[c].value = self._regs[d].value
+            parent = register.value
+            for k, (bit, sibling, ref) in enumerate(zip(coord, reduced, trace), 1):
+                computed = self.config.chiral_extend(sibling.value, bit, ref.value)
+                if computed != parent:
+                    self._free_regs(slots)
+                    return NodeVerifyBreach(k, computed)
+                parent = ref.value
             self._free_regs(slots)
-            return result
+            return None
 
     def reduced_tree_update(self, session: UpdateSession, new_value: Digest) -> UpdateResult:
         """Consume an armed session: write the new node value and refold the root."""
@@ -665,37 +663,28 @@ class TreeTpm:
                 if session.status is SessionStatus.INVALIDATED:
                     raise BindingViolation("update session invalidated by an intervening command")
                 raise BindingViolation("unknown update session")
-            expected_auth = hashlib.sha256(pack_fields(b"session", session.nonce)).digest()
-            if expected_auth != session.auth:
+            if self._session_auth(session.nonce) != session.auth:
                 raise BindingViolation("session authorisation digest mismatch")
-            for slot in (*session.buffer_regs, session.staging_reg):
+            bound = (*session.buffer_regs, session.staging_reg)
+            for slot in bound:
                 if self._regs[slot].state is not RegisterState.RT:
                     raise BindingViolation(f"bound register {slot} left the RT state")
             self.config.check(new_value)
             self.stats.update_ops += 1
 
+            siblings = [self._regs[slot].value for slot in session.buffer_regs]
+            path = fold_path(new_value, session.coord, siblings, self.config)
             register = self._regs[session.root_reg]
-            coord = session.coord
-            emitted: list[Digest] = []
-            value = new_value
-            for k in range(len(coord), 0, -1):
-                emitted.append(value)
-                value = self.config.chiral_extend(
-                    self._regs[session.buffer_regs[k - 1]].value, coord[k - 1], value
-                )
-            register.value = value
+            register.value = path[-1]
             session.status = SessionStatus.CONSUMED
             del self._sessions[session.session_id]
-            self._free_regs((*session.buffer_regs, session.staging_reg))
-            self._touch([session.root_reg, *session.buffer_regs, session.staging_reg])
+            self._free_regs(bound)
+            self._touch([session.root_reg, *bound])
             # an updated tree can no longer be extended consistently: seal it
             meta = self._meta_for_root(session.root_reg)
             if not meta.closed:
                 self._close(meta)
-            trace = [
-                NodeRef(c, v) for c, v in zip(trace_coords(coord), reversed(emitted))
-            ]
-            return UpdateResult(trace, register.value)
+            return UpdateResult(self._trace(session.coord, path), register.value)
 
     def tree_node_verified_update(
         self, node: NodeRef, new_value: Digest, reduced: ReducedTree, root_reg: int
@@ -709,20 +698,17 @@ class TreeTpm:
 
     # -- quoting -----------------------------------------------------------
 
+    def _quote(self, aik: SigningKey, nonce: bytes, tag: str, node_value: Digest, **fields) -> Quote:
+        """Sign the canonical payload of one quote variant."""
+        self.stats.quote_ops += 1
+        signature = sign(aik, tag, quote_payload(tag, node_value, **fields), nonce)
+        return Quote(tag, node_value, nonce, signature, aik.public.fingerprint(), **fields)
+
     def quote_register(self, reg: int, aik: SigningKey, nonce: bytes) -> Quote:
         """Plain register quote (tag QUOT); no tree-state gate."""
         with self._lock:
             self._command("quote_register", reg)
-            value = self._reg(reg).value
-            self.stats.quote_ops += 1
-            payload = quote_payload("QUOT", value)
-            return Quote(
-                tag="QUOT",
-                node_value=value,
-                nonce=nonce,
-                signature=sign(aik, "QUOT", payload, nonce),
-                aik_id=aik.public.fingerprint(),
-            )
+            return self._quote(aik, nonce, "QUOT", self._reg(reg).value)
 
     def tree_node_quote(
         self,
@@ -741,26 +727,14 @@ class TreeTpm:
         """
         with self._lock:
             self._command("tree_node_quote", root_reg, node.coord)
-            register = self._reg(root_reg)
-            if register.state is not RegisterState.CR:
-                raise StateViolation("tree quotes require a complete (CR) root")
+            _, meta = self._root(root_reg, complete=True)
             if self.reduced_tree_verify(node, reduced, root_reg) is None:
                 return None
-            meta = self._meta_for_root(root_reg)
             # keep a copy of the verified value in a scratch register, quote that
             (copy_slot,) = self._alloc(1, RegisterState.RT, meta.uid)
             self._regs[copy_slot].value = node.value
-            self.stats.quote_ops += 1
             coord = node.coord if include_coord else None
-            payload = quote_payload("TREEQUOT", node.value, coord=coord)
-            quote = Quote(
-                tag="TREEQUOT",
-                node_value=self._regs[copy_slot].value,
-                nonce=nonce,
-                signature=sign(aik, "TREEQUOT", payload, nonce),
-                aik_id=aik.public.fingerprint(),
-                coord=coord,
-            )
+            quote = self._quote(aik, nonce, "TREEQUOT", self._regs[copy_slot].value, coord=coord)
             self._free_regs([copy_slot])
             return quote
 
@@ -781,32 +755,13 @@ class TreeTpm:
         """
         with self._lock:
             self._command("reduced_tree_quote", root_reg, coord)
-            register = self._reg(root_reg)
-            if register.state is not RegisterState.CR:
-                raise StateViolation("tree quotes require a complete (CR) root")
-            meta = self._meta_for_root(root_reg)
+            register, meta = self._root(root_reg, complete=True)
             check_coord(coord, meta.depth, allow_root=True)
             if len(reduced_values) != len(coord):
                 raise ValueError(f"need {len(coord)} sibling values, got {len(reduced_values)}")
-            self.config.check(node_value)
-            for value in reduced_values:
+            for value in (node_value, *reduced_values):
                 self.config.check(value)
-            self.stats.quote_ops += 1
-            payload = quote_payload(
-                "REDTREEQUOT",
-                node_value,
-                reduced_values=reduced_values,
-                root_register=root_reg,
-                root_value=register.value,
-            )
-            return Quote(
-                tag="REDTREEQUOT",
-                node_value=node_value,
-                nonce=nonce,
-                signature=sign(aik, "REDTREEQUOT", payload, nonce),
-                aik_id=aik.public.fingerprint(),
-                coord=coord,
-                reduced_values=tuple(reduced_values),
-                root_register=root_reg,
-                root_value=register.value,
+            return self._quote(
+                aik, nonce, "REDTREEQUOT", node_value, coord=coord,
+                reduced_values=tuple(reduced_values), root_register=root_reg, root_value=register.value,
             )

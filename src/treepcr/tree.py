@@ -15,7 +15,9 @@ per level. Coordinate strings are checked once where they enter the
 public API; whole-log work (consistency checks, refolds, subtree copies,
 the file format) runs as level-by-level sweeps. The file format is the
 coordinate-string text shown in the README and does not depend on this
-layout.
+layout. ``fold_path`` is the one fold of a node through its sibling list
+(its Merkle audit path): device verify, update and node quotes, and the
+receiver's refold of a reduced quote, all run it.
 """
 
 from __future__ import annotations
@@ -108,19 +110,25 @@ Trace = list[NodeRef]
 ReducedTree = list[NodeRef]
 
 
-def fold_to_root(value: Digest, coord: Coord, reduced_values: Sequence[Digest], config: HashConfig) -> Digest:
-    """Fold a node value through its sibling list up to a root candidate.
+def fold_path(value: Digest, coord: Coord, sibling_values: Sequence[Digest], config: HashConfig) -> list[Digest]:
+    """Fold a node value through its sibling list with the ordered extend.
 
-    The coordinate supplies the order bit at every level; entry k of
-    ``reduced_values`` is the sibling at level k.
+    Entry k of ``sibling_values`` is the sibling at level k + 1 and the
+    coordinate gives the order bit at each level. Returns the values met
+    on the way up: the node's own first, the root candidate last.
     """
     check_coord(coord, allow_root=True)
-    if len(reduced_values) != len(coord):
-        raise ValueError(f"need {len(coord)} sibling values, got {len(reduced_values)}")
-    acc = value
+    if len(sibling_values) != len(coord):
+        raise ValueError(f"need {len(coord)} sibling values, got {len(sibling_values)}")
+    path = [value]
     for k in range(len(coord), 0, -1):
-        acc = config.chiral_extend(reduced_values[k - 1], coord[k - 1], acc)
-    return acc
+        path.append(config.chiral_extend(sibling_values[k - 1], coord[k - 1], path[-1]))
+    return path
+
+
+def fold_to_root(value: Digest, coord: Coord, reduced_values: Sequence[Digest], config: HashConfig) -> Digest:
+    """The root candidate of ``fold_path``."""
+    return fold_path(value, coord, reduced_values, config)[-1]
 
 
 class SmlTree:

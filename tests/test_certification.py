@@ -26,6 +26,7 @@ from treepcr.certification import (
     verify_ref_value,
     verify_subtree_certificate,
 )
+from treepcr.encoding import EncodingError, pack_fields, unpack_fields
 from treepcr.protocol import ProtocolError, certify_subtree, make_validation_bundle
 from treepcr.sca import (
     OK,
@@ -41,6 +42,7 @@ from treepcr.validator import (
     BIND_BOUND_ROOT,
     BIND_NODE,
     BIND_STAR,
+    ValidationBundle,
     validate_subtree,
 )
 
@@ -138,18 +140,38 @@ class TestCertificateShapes:
 
     def test_certificate_round_trip(self, aik):
         cert = issue_subtree_certificate(
-            SigningKey.generate(), "sca", manifest_fixture(), bind=aik.public.fingerprint(),
-            fingerprint=b"\x05" * 20,
+            SigningKey.generate(), "sca", manifest_fixture(), bind=aik.public.fingerprint()
         )
-        assert SubtreeCertificate.from_bytes(cert.to_bytes()) == cert
+        again = SubtreeCertificate.from_bytes(cert.to_bytes())
+        assert again == cert and again.to_bytes() == cert.to_bytes()
 
-    def test_measure_certificate_uses_embedded_fingerprint(self, aik):
-        key = SigningKey.generate()
-        fp = b"\x09" * 20
-        with_fp = issue_subtree_certificate(key, "sca", manifest_fixture(), bind=aik.public.fingerprint(), fingerprint=fp)
-        assert measure_certificate(with_fp, SHA1) == Digest(fp)
-        # wrong size: fall back to hashing
-        assert measure_certificate(with_fp, SHA256) == SHA256.measure(with_fp.to_bytes())
+    def test_unsigned_certificate_field_refused(self, rng, aik, pca):
+        # the signature does not cover the certificate's sixth field: a value F
+        # spliced in there must not stand in for m(C) under a star binding
+        platform = certified_platform(rng, aik, pca)
+        sca = sca_for(platform, "01", "concealed", pca)
+        credential = certify_subtree(platform, sca, "01", layout="empty")
+        forged_value = SHA1.measure(b"chosen by the presenter")
+        m_manifest = measure_manifest(credential.manifest, SHA1)
+        # a tree under the same AIK holding F ⋄ m(M), not m(C) ⋄ m(M), at "0"
+        attacker = make_platform([forged_value.value, m_manifest.value], 2, aik=aik)
+        attacker.close()
+        nonce = secrets.token_bytes(16)
+        bundle = ValidationBundle(
+            attacker.quote_node("0", nonce), credential.manifest, credential.certificate,
+            aik.public, binding=BIND_STAR,
+        )
+        result = validate_subtree(bundle, sca_pub=sca.public, nonce=nonce)
+        assert not result.accepted and result.reason == "tree-binding"
+
+        fields = unpack_fields(bundle.to_bytes(), count=9)
+        cert_fields = unpack_fields(fields[3], count=6)
+        cert_fields[5] = b"f" + forged_value.value
+        fields[3] = pack_fields(*cert_fields)
+        with pytest.raises(EncodingError):
+            SubtreeCertificate.from_bytes(fields[3])
+        with pytest.raises(EncodingError):
+            ValidationBundle.from_bytes(pack_fields(*fields))
 
 
 class TestPrivacyCa:

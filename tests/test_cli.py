@@ -130,6 +130,15 @@ class TestQuoteAndKeys:
         key_obj = SigningKey.from_seed(bytes.fromhex(open(key).read().strip()))
         assert verify_quote(quote, key_obj.public)
 
+    def test_keygen_seed_is_owner_only(self, tmp_path, capsys):
+        fresh, existing = tmp_path / "fresh.key", tmp_path / "existing.key"
+        existing.write_text("old\n")
+        existing.chmod(0o644)
+        for path in (fresh, existing):
+            code, _, _ = run(capsys, "keygen", "--out", str(path))
+            assert code == 0
+            assert path.stat().st_mode & 0o077 == 0
+
     def test_redtree_quote_variant(self, built, tmp_path, capsys):
         sml, _ = built
         key = str(tmp_path / "aik.key")

@@ -28,6 +28,7 @@ from treepcr import (
     refold_reduced_quote,
     verify_quote,
 )
+from treepcr.encoding import EncodingError
 from treepcr.engine import Quote, SessionStatus
 
 
@@ -523,6 +524,34 @@ class TestQuotes:
             again = Quote.from_bytes(quote.to_bytes())
             assert again == quote
             assert verify_quote(again, platform.aik.public)
+
+    @pytest.mark.parametrize("coord", ["", "01", "010"])
+    def test_reduced_quote_round_trip_at_every_level(self, rng, coord):
+        platform = make_platform(random_leaves(rng, 3, count=8), 3)
+        quote = platform.quote_reduced(coord, b"n")
+        again = Quote.from_bytes(quote.to_bytes())
+        assert again == quote and again.to_bytes() == quote.to_bytes()
+        assert verify_quote(again, platform.aik.public)
+        assert refold_reduced_quote(again, SHA1)
+
+    def test_misplaced_reduced_tree_fields_refused(self, rng):
+        platform = make_platform(random_leaves(rng, 2, count=4), 2)
+        reduced = platform.quote_reduced("", b"n")
+        for stripped in (
+            dataclasses.replace(reduced, root_value=None),
+            dataclasses.replace(reduced, root_register=None),
+            dataclasses.replace(platform.quote_node("01", b"n"), root_register=reduced.root_register),
+            dataclasses.replace(platform.quote_node("", b"n"), root_value=reduced.root_value),
+            dataclasses.replace(platform.quote_node("", b"n"), tag="XQUOT"),
+        ):
+            with pytest.raises(EncodingError):
+                Quote.from_bytes(stripped.to_bytes())
+
+    def test_malformed_unsigned_coordinate_fails_the_refold(self, rng):
+        platform = make_platform(random_leaves(rng, 2, count=4), 2)
+        quote = dataclasses.replace(platform.quote_reduced("01", b"n"), coord="2x")
+        assert verify_quote(quote, platform.aik.public)  # the coordinate is not signed
+        assert not refold_reduced_quote(Quote.from_bytes(quote.to_bytes()), SHA1)
 
 
 class TestAdmin:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import secrets
 import socket
@@ -7,10 +8,10 @@ import pytest
 from conftest import make_platform
 from oracle import random_leaves
 from treepcr import SigningKey, extract_subtree, serialize_sml
-from treepcr.certification import build_attestation_package
+from treepcr.certification import AttestationPackage, build_attestation_package
 from treepcr.discovery import DiscoveryData
 from treepcr.protocol import certify_subtree, make_validation_bundle
-from treepcr.sca import OK, PolicyTable, SubtreeCa
+from treepcr.sca import OK, REJECT_PACKAGE, PolicyTable, SubtreeCa
 from treepcr.validator import validate_subtree
 from treepcr.wire import (
     MAX_FRAME,
@@ -177,6 +178,30 @@ class TestService:
         with ScaClient(address) as client:
             credential = certify_subtree(platform, client, "01", layout="empty")
         assert credential.certificate.mode == "concealed"
+
+    def test_root_reduced_quote_over_the_wire(self, served):
+        # a root REDTREEQUOT has no siblings; without its root value it is malformed
+        platform, sca, _, address = served
+        sca.policy.add(platform.root(), [("configuration", "golden")])
+        with ScaClient(address) as client:
+            quote = platform.quote_reduced("", client.issue_nonce())
+            outcome = client.verify_and_issue(build_attestation_package(quote, platform.aik.public))
+            assert outcome.status == OK
+            stripped = dataclasses.replace(platform.quote_reduced("", client.issue_nonce()), root_value=None)
+            with pytest.raises(ProtocolFrameError) as err:
+                client.verify_and_issue(AttestationPackage(stripped, platform.aik.public))
+        assert err.value.code == "bad-payload"
+
+    def test_malformed_quotes_get_clean_answers(self, served):
+        platform, _, _, address = served
+        with ScaClient(address) as client:
+            bad_coord = dataclasses.replace(platform.quote_reduced("01", client.issue_nonce()), coord="2x")
+            outcome = client.verify_and_issue(AttestationPackage(bad_coord, platform.aik.public))
+            assert outcome.status == REJECT_PACKAGE
+            bad_tag = dataclasses.replace(platform.quote_node("01", client.issue_nonce()), tag="XQUOT")
+            with pytest.raises(ProtocolFrameError) as err:
+                client.verify_and_issue(AttestationPackage(bad_tag, platform.aik.public))
+        assert err.value.code == "bad-payload"
 
     def test_client_surfaces_error_frames(self, served):
         _, _, _, address = served
