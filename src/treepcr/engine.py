@@ -3,10 +3,10 @@
 A single logical device: a fixed array of verification data registers
 plus the commands that build, verify, update, and quote hash trees whose
 roots those registers protect. Each command holds the registers the
-device model gives it, but the commands share one fold (``fold_path``),
-one root gate, one quote signer and one session digest. Commands run
-under exclusive access; verification misses are ordinary results, while
-state and session violations are raised as errors.
+device model gives it. Verify, update and node quotes share one fold
+(``tree.fold_path``); all commands share one root gate, quote signer and
+session digest, run under exclusive access, return verification misses
+as results and raise state and session violations as errors.
 """
 
 from __future__ import annotations

@@ -519,20 +519,15 @@ class TestQuotes:
         for quote in (
             platform.quote_node("01", b"n", include_coord=True),
             platform.quote_reduced("010", b"n"),
+            platform.quote_reduced("01", b"n"),
+            platform.quote_reduced("", b"n"),  # a root reduced quote has no siblings
             platform.quote_node("", b"n"),
         ):
             again = Quote.from_bytes(quote.to_bytes())
-            assert again == quote
+            assert again == quote and again.to_bytes() == quote.to_bytes()
             assert verify_quote(again, platform.aik.public)
-
-    @pytest.mark.parametrize("coord", ["", "01", "010"])
-    def test_reduced_quote_round_trip_at_every_level(self, rng, coord):
-        platform = make_platform(random_leaves(rng, 3, count=8), 3)
-        quote = platform.quote_reduced(coord, b"n")
-        again = Quote.from_bytes(quote.to_bytes())
-        assert again == quote and again.to_bytes() == quote.to_bytes()
-        assert verify_quote(again, platform.aik.public)
-        assert refold_reduced_quote(again, SHA1)
+            if quote.tag == "REDTREEQUOT":
+                assert refold_reduced_quote(again, SHA1)
 
     def test_misplaced_reduced_tree_fields_refused(self, rng):
         platform = make_platform(random_leaves(rng, 2, count=4), 2)
@@ -647,13 +642,13 @@ def _load(p, coord):
     return p.engine.reduced_tree_verify_load(p.node(coord), p.reduced(coord), p.root_reg)
 
 
-#: (command, coordinate, RT registers it needs, how to run it on a platform)
+#: (command, coordinate, RT registers it needs, a run that is truthy on success)
 FOOTPRINTS = [
     ("verify", "010", 1, lambda p, c: p.engine.reduced_tree_verify(p.node(c), p.reduced(c), p.root_reg)),
     ("verify-load", "0", 2, _load),
     ("verify-load", "01", 3, _load),
     ("verify-load", "010", 4, _load),
-    ("node-verify", "010", 3, lambda p, c: p.engine.tree_node_verify(c, p.reduced(c), p.trace(c), p.root_reg) or "intact"),
+    ("node-verify", "010", 3, lambda p, c: p.engine.tree_node_verify(c, p.reduced(c), p.trace(c), p.root_reg) is None),
     ("tree-node-quote", "010", 1, lambda p, c: p.quote_node(c, b"n")),
     ("reduced-tree-quote", "010", 0, lambda p, c: p.quote_reduced(c, b"n")),
     ("verified-update", "010", 4, lambda p, c: p.engine.tree_node_verified_update(
@@ -682,7 +677,7 @@ class TestRegisterFootprint:
         platform = self._seated(rng, need)
         engine = platform.engine
         result = run(platform, coord)
-        assert result is not None
+        assert result
         if command == "verify-load":
             session = result.session
             assert engine.register_value(session.staging_reg) == platform.root()
