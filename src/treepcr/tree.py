@@ -120,9 +120,9 @@ def fold_path(value: Digest, coord: Coord, sibling_values: Sequence[Digest], con
     check_coord(coord, allow_root=True)
     if len(sibling_values) != len(coord):
         raise ValueError(f"need {len(coord)} sibling values, got {len(sibling_values)}")
-    path = [value]
+    path, chiral_extend = [value], config.chiral_extend
     for k in range(len(coord), 0, -1):
-        path.append(config.chiral_extend(sibling_values[k - 1], coord[k - 1], path[-1]))
+        path.append(chiral_extend(sibling_values[k - 1], coord[k - 1], path[-1]))
     return path
 
 
