@@ -24,7 +24,7 @@ from .crypto import (
     sign,
     verify,
 )
-from .encoding import EncodingError, pack_fields, pack_u32, unpack_fields, unpack_u32
+from .encoding import EncodingError, decode_text, pack_fields, pack_u32, unpack_fields, unpack_u32
 from .engine import Quote, verify_quote
 from .tree import NodeRef, check_coord, leq
 
@@ -66,14 +66,14 @@ class Manifest:
         if len(fields) != 6 + 2 * count:
             raise EncodingError("manifest property count mismatch")
         props = tuple(
-            (fields[3 + 2 * i].decode("utf-8"), fields[4 + 2 * i].decode("utf-8"))
+            (decode_text(fields[3 + 2 * i], "utf-8"), decode_text(fields[4 + 2 * i], "utf-8"))
             for i in range(count)
         )
         return cls(
             subject=digest_from_wire(fields[1]),
             properties=props,
             timestamp=unpack_u32(fields[3 + 2 * count]),
-            issuer=fields[4 + 2 * count].decode("utf-8"),
+            issuer=decode_text(fields[4 + 2 * count], "utf-8"),
             aik_checked=fields[5 + 2 * count] == b"\x01",
         )
 
@@ -109,7 +109,7 @@ class AikCertificate:
     @classmethod
     def from_bytes(cls, data: bytes) -> "AikCertificate":
         pub, subject, issuer, sig, signer = unpack_fields(data, count=5)
-        return cls(VerifyingKey(pub), subject.decode("utf-8"), issuer.decode("utf-8"), Signature(sig, signer))
+        return cls(VerifyingKey(pub), decode_text(subject, "utf-8"), decode_text(issuer, "utf-8"), Signature(sig, signer))
 
 
 class PrivacyCa:
@@ -183,8 +183,8 @@ class SubtreeCertificate:
         if unsigned:
             raise EncodingError("certificate carries a field its signature does not cover")
         return cls(
-            mode=mode.decode("ascii"),
-            issuer=issuer.decode("utf-8"),
+            mode=decode_text(mode),
+            issuer=decode_text(issuer, "utf-8"),
             signature=Signature(sig, signer),
             bind=None if not bind else bind[1:],
         )
@@ -257,7 +257,7 @@ class RefValueCert:
     @classmethod
     def from_bytes(cls, data: bytes) -> "RefValueCert":
         value, issuer, sig, signer = unpack_fields(data, count=4)
-        return cls(digest_from_wire(value), issuer.decode("utf-8"), Signature(sig, signer))
+        return cls(digest_from_wire(value), decode_text(issuer, "utf-8"), Signature(sig, signer))
 
 
 def issue_ref_value(key: SigningKey, issuer: str, value: Digest) -> RefValueCert:
@@ -308,7 +308,7 @@ class AttestationPackage:
             quote=Quote.from_bytes(quote),
             aik_pub=VerifyingKey(pub),
             node_value=None if not value else digest_from_wire(value),
-            coord=None if not coord else coord[1:].decode("ascii"),
+            coord=None if not coord else decode_text(coord[1:]),
             aik_cert=None if not cert else AikCertificate.from_bytes(cert),
             subtree=None if not subtree else subtree,
             aux=tuple(RefValueCert.from_bytes(f) for f in unpack_fields(aux)),
@@ -352,13 +352,14 @@ LAYOUTS = (LAYOUT_EMPTY, LAYOUT_FULL)
 
 def check_dependency_free(entries: list[NodeRef]) -> list[NodeRef]:
     """Reject sets in which one entry lies on another's path to the root."""
-    coords = [e.coord for e in entries]
-    if len(set(coords)) != len(coords):
+    position = {e.coord: i for i, e in enumerate(entries)}
+    if len(position) != len(entries):
         raise ValueError("duplicate coordinates in update set")
-    for a in coords:
-        for b in coords:
-            if a != b and leq(a, b):
-                raise ValueError(f"update set is not dependency-free: {a} lies below {b}")
+    for entry in entries:
+        a = check_coord(entry.coord, allow_root=True)
+        above = [position[a[:k]] for k in range(len(a)) if a[:k] in position]
+        if above:
+            raise ValueError(f"update set is not dependency-free: {a} lies below {entries[min(above)].coord}")
     return entries
 
 
@@ -399,12 +400,11 @@ def binding_update_set(
         raise ValueError(f"unknown binding layout {layout!r}")
     if len(coord) + 2 > depth:
         raise ValueError(f"full binding below {coord or '<root>'} needs two spare levels (depth {depth})")
-    entries = [
+    return [
         NodeRef(coord + "00", measure_certificate(issue.certificate, config)),
         NodeRef(coord + "01", measure_manifest(issue.manifest, config)),
         NodeRef(coord + "1", old_node.value),
     ]
-    return check_bounded_below(check_dependency_free(entries), coord)
 
 
 def build_attestation_package(

@@ -137,7 +137,7 @@ def cmd_tree_update(args) -> int:
 def cmd_tamper(args) -> int:
     with open(args.sml, "rb") as fh:
         doc = parse_sml(fh.read())
-    value = parse_digest(args.value, doc.tree.config.size) if args.value != "nil" else parse_digest("nil")
+    value = parse_digest(args.value, doc.tree.config.size)
     doc.tree.set_node(args.coord, value)
     with open(args.sml, "wb") as fh:
         fh.write(serialize_sml(doc.tree, doc.root_value, doc.root_state))

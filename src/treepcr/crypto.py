@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
 
-from .encoding import EncodingError, pack_fields, unpack_fields
+from .encoding import EncodingError, pack_fields
 
 _HASHERS = {"sha1": hashlib.sha1, "sha256": hashlib.sha256}
 _SIZES = {name: new().digest_size for name, new in _HASHERS.items()}
@@ -196,12 +196,3 @@ def verify(key: VerifyingKey, tag: str, payload: bytes, nonce: bytes, signature:
     except (InvalidSignature, ValueError):
         return False
     return True
-
-
-def signature_to_fields(signature: Signature) -> bytes:
-    return pack_fields(signature.data, signature.signer)
-
-
-def signature_from_fields(data: bytes) -> Signature:
-    sig, signer = unpack_fields(data, count=2)
-    return Signature(sig, signer)

@@ -95,24 +95,18 @@ def active_discover(tree: SmlTree, data: DiscoveryData) -> DiscoveryResult:
     the left of the match's own interval.
     """
     occupied = list(tree.occupied())
-    wanted = {target: [] for target, _ in data.conditions}
-    for target, pred in data.conditions:
-        wanted[target].append(pred)
+    # the leftmost right edge of the leaf intervals holding each value
+    edge: dict[Digest, int] = {}
+    for ref in occupied:
+        end = leaf_interval(ref.coord, tree.depth)[1]
+        edge[ref.value] = min(end, edge.get(ref.value, end))
 
     matches = []
     for ref in occupied:
         if ref.value not in data.values:
             continue
         start, _ = leaf_interval(ref.coord, tree.depth)
-        satisfied = True
-        for pred in wanted.get(ref.value, ()):
-            if not any(
-                other.value == pred and leaf_interval(other.coord, tree.depth)[1] < start
-                for other in occupied
-            ):
-                satisfied = False
-                break
-        if satisfied:
+        if all(edge.get(pred, start) < start for target, pred in data.conditions if target == ref.value):
             matches.append(ref)
     return DiscoveryResult(matches=matches)
 

@@ -24,6 +24,14 @@ def unpack_u32(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
+def decode_text(field: bytes, encoding: str = "ascii") -> str:
+    """Decode a text field of parsed bytes; undecodable input is an EncodingError."""
+    try:
+        return field.decode(encoding)
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"undecodable text field: {exc}") from exc
+
+
 def pack_fields(*fields: bytes) -> bytes:
     """Concatenate fields, each prefixed with its 4-byte length."""
     parts = []

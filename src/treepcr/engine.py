@@ -32,7 +32,7 @@ from .crypto import (
     sign,
     verify,
 )
-from .encoding import EncodingError, pack_fields, pack_u32, unpack_fields
+from .encoding import EncodingError, decode_text, pack_fields, pack_u32, unpack_fields
 from .tree import (
     NodeRef,
     ReducedTree,
@@ -214,12 +214,12 @@ class Quote:
         if not reduced_tree and (tag not in (b"QUOT", b"TREEQUOT") or reduced or root_reg or root_val):
             raise EncodingError(f"quote tag {tag!r} is unknown or carries reduced-tree fields")
         return cls(
-            tag=tag.decode("ascii"),
+            tag=decode_text(tag),
             node_value=digest_from_wire(value),
             nonce=nonce,
             signature=Signature(sig, signer),
             aik_id=aik_id,
-            coord=None if not coord else coord[1:].decode("ascii"),
+            coord=None if not coord else decode_text(coord[1:]),
             reduced_values=tuple(map(digest_from_wire, unpack_fields(reduced))) if reduced_tree else None,
             root_register=int.from_bytes(root_reg, "big") if reduced_tree else None,
             root_value=digest_from_wire(root_val) if reduced_tree else None,

@@ -21,7 +21,7 @@ from .certification import (
     build_attestation_package,
 )
 from .crypto import Digest, digest_from_wire, digest_to_wire
-from .encoding import EncodingError, pack_fields, unpack_fields
+from .encoding import EncodingError, decode_text, pack_fields, unpack_fields
 from .engine import Quote
 from .platform import Platform
 from .tree import NodeRef
@@ -66,12 +66,12 @@ class SubtreeCredential:
         if magic != b"C1":
             raise EncodingError("bad credential encoding")
         return cls(
-            coord=coord.decode("ascii"),
+            coord=decode_text(coord),
             node_value=digest_from_wire(value),
             manifest=Manifest.from_bytes(manifest),
             certificate=SubtreeCertificate.from_bytes(cert),
             original_quote=Quote.from_bytes(quote),
-            layout=layout.decode("ascii"),
+            layout=decode_text(layout),
         )
 
 

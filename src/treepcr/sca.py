@@ -127,7 +127,6 @@ class SubtreeCa:
     ref_issuers: dict[str, VerifyingKey] = field(default_factory=dict)
     leaf_values: set[bytes] = field(default_factory=set)
     clock: object = None
-    issued_log: list[IssuePackage] = field(default_factory=list)
     _nonces: set[bytes] = field(default_factory=set)
 
     @property
@@ -217,10 +216,8 @@ class SubtreeCa:
             quote=None if concealed else quote,
             bind=bind,
         )
-        issue = IssuePackage(manifest, certificate, bind=bind)
-        self.issued_log.append(issue)
         logger.info("issued %s certificate for %s", mode, subject.to_text())
-        return issue
+        return IssuePackage(manifest, certificate, bind=bind)
 
     def _leaf_properties(self, subtree: SmlTree, package: AttestationPackage) -> IssueOutcome | Properties:
         """Certification from leaf values: the log must refold to the quoted

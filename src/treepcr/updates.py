@@ -17,7 +17,7 @@ from .certification import check_dependency_free
 from .crypto import NIL, Digest
 from .engine import TreeTpm
 from .platform import Platform
-from .tree import NodeRef, check_coord, sibling_coord
+from .tree import NodeRef, check_coord
 
 MEMBER = "member"
 DERIVED = "derived"
@@ -62,28 +62,21 @@ def find_intrinsic_subsets(entries: list[NodeRef], depth: int) -> list[Intrinsic
     """
     _check_entries(entries, depth)
     status: dict[str, str] = {e.coord: MEMBER for e in entries}
-    by_level: dict[int, set[str]] = {}
-    for entry in entries:
-        by_level.setdefault(len(entry.coord), set()).add(entry.coord)
-    # propagate strictly downward-to-upward; level 1 pairs never merge (the
-    # root position is a register, not an updatable log node)
-    for level in range(max(by_level, default=0), 1, -1):
-        for coord in sorted(by_level.get(level, ())):
-            sib = sibling_coord(coord)
-            if status.get(coord) == status.get(sib) and coord[-1] == "0":
-                parent = coord[:-1]
-                status[parent] = DERIVED
-                by_level.setdefault(level - 1, set()).add(parent)
+    # deepest level first; level 1 pairs never merge (the root position is
+    # a register, not an updatable log node)
+    for level in range(max(map(len, status), default=0), 1, -1):
+        for coord in [c for c in status if len(c) == level and c[-1] == "0"]:
+            if status[coord] == status.get(coord[:-1] + "1"):
+                status[coord[:-1]] = DERIVED
 
-    subsets = []
-    for coord, kind in sorted(status.items()):
-        if kind is not DERIVED:
-            continue
-        if status.get(coord[:-1]) == DERIVED:
-            continue  # not maximal
-        members = tuple(e for e in sorted(entries, key=lambda e: e.coord) if e.coord.startswith(coord))
-        subsets.append(IntrinsicSubset(coord, members))
-    return subsets
+    # a member belongs to its topmost derived prefix, which is maximal
+    spans: dict[str, list[NodeRef]] = {}
+    for entry in sorted(entries, key=lambda e: e.coord):
+        coord = entry.coord
+        top = next((coord[:k] for k in range(1, len(coord)) if status.get(coord[:k]) is DERIVED), None)
+        if top is not None:
+            spans.setdefault(top, []).append(entry)
+    return [IntrinsicSubset(root, tuple(members)) for root, members in spans.items()]
 
 
 def scratch_fold(subset: IntrinsicSubset, engine: TreeTpm) -> Digest:
@@ -114,7 +107,6 @@ def apply_update_set_bulk(entries: list[NodeRef], platform: Platform) -> Digest:
     and the derived inner values are written back into the mirror after
     each span-root update.
     """
-    _check_entries(entries, platform.depth)
     subsets = find_intrinsic_subsets(entries, platform.depth)
     spanned = {m.coord for subset in subsets for m in subset.members}
     work: list[tuple[NodeRef, IntrinsicSubset | None]] = [

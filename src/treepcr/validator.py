@@ -22,7 +22,7 @@ from .certification import (
     verify_subtree_certificate,
 )
 from .crypto import Digest, HashConfig, SHA1, VerifyingKey, digest_from_wire, digest_to_wire
-from .encoding import EncodingError, pack_fields, unpack_fields
+from .encoding import EncodingError, decode_text, pack_fields, unpack_fields
 from .engine import Quote, refold_reduced_quote, verify_quote
 
 #: how the fresh quote is tied to the certified subtree
@@ -68,7 +68,7 @@ class ValidationBundle:
             manifest=Manifest.from_bytes(manifest),
             certificate=SubtreeCertificate.from_bytes(cert),
             aik_pub=VerifyingKey(pub),
-            binding=binding.decode("ascii"),
+            binding=decode_text(binding),
             node_value=None if not value else digest_from_wire(value),
             original_quote=None if not original else Quote.from_bytes(original),
             aik_cert=None if not aik_cert else AikCertificate.from_bytes(aik_cert),

@@ -18,7 +18,7 @@ from typing import Callable
 from .certification import AttestationPackage, IssuePackage
 from .crypto import VerifyingKey, digest_from_wire, digest_to_wire
 from .discovery import DiscoveryData
-from .encoding import EncodingError, pack_fields, unpack_fields
+from .encoding import EncodingError, decode_text, pack_fields, unpack_fields
 from .engine import Quote
 from .sca import OK, IssueOutcome, PassiveResult, SubtreeCa, passive_discover
 from .tree import NodeRef, parse_sml
@@ -79,7 +79,7 @@ def _pack_error(code: str, message: str) -> bytes:
 
 def parse_error(payload: bytes) -> tuple[str, str]:
     code, message = unpack_fields(payload, count=2)
-    return code.decode("ascii"), message.decode("utf-8")
+    return decode_text(code), decode_text(message, "utf-8")
 
 
 def pack_passive_request(
@@ -97,7 +97,7 @@ def pack_passive_request(
 def unpack_passive_request(payload: bytes) -> tuple[NodeRef, bytes, VerifyingKey, Quote | None]:
     coord, value, subtree, pub, quote = unpack_fields(payload, count=5)
     return (
-        NodeRef(coord.decode("ascii"), digest_from_wire(value)),
+        NodeRef(decode_text(coord), digest_from_wire(value)),
         subtree,
         VerifyingKey(pub),
         None if not quote else Quote.from_bytes(quote),
@@ -116,14 +116,14 @@ def pack_passive_result(result: PassiveResult) -> bytes:
 
 def unpack_passive_result(payload: bytes) -> PassiveResult:
     status, detail, bad, candidates, certs = unpack_fields(payload, count=5)
-    result = PassiveResult(status.decode("ascii"), detail.decode("utf-8"))
-    result.inconsistent_coord = None if not bad else bad[1:].decode("ascii")
+    result = PassiveResult(decode_text(status), decode_text(detail, "utf-8"))
+    result.inconsistent_coord = None if not bad else decode_text(bad[1:])
     for blob in unpack_fields(candidates):
         coord, value = unpack_fields(blob, count=2)
-        result.candidates.append(NodeRef(coord.decode("ascii"), digest_from_wire(value)))
+        result.candidates.append(NodeRef(decode_text(coord), digest_from_wire(value)))
     for blob in unpack_fields(certs):
         coord, issue = unpack_fields(blob, count=2)
-        result.certificates.append((coord.decode("ascii"), IssuePackage.from_bytes(issue)))
+        result.certificates.append((decode_text(coord), IssuePackage.from_bytes(issue)))
     return result
 
 
@@ -268,9 +268,9 @@ class ScaClient:
         body = self._roundtrip(MSG_ATTEST, package.to_bytes(), MSG_ATTEST_RESP)
         status, detail, issue = unpack_fields(body, count=3)
         return IssueOutcome(
-            status.decode("ascii"),
+            decode_text(status),
             None if not issue else IssuePackage.from_bytes(issue),
-            detail.decode("utf-8"),
+            decode_text(detail, "utf-8"),
         )
 
     def passive_discover(
@@ -282,7 +282,7 @@ class ScaClient:
         return unpack_passive_result(body)
 
     def discovery_data(self) -> str:
-        return self._roundtrip(MSG_DISCOVERY, b"", MSG_DISCOVERY_RESP).decode("utf-8")
+        return decode_text(self._roundtrip(MSG_DISCOVERY, b"", MSG_DISCOVERY_RESP), "utf-8")
 
 
 class ProtocolFrameError(Exception):

@@ -130,6 +130,28 @@ def flip_bit(raw: bytes, position: int) -> bytes:
     return bytes(out)
 
 
+# -- update sets ---------------------------------------------------------------
+
+
+def oracle_dependency_free(coords: list[str]) -> str | None:
+    """Why an update set is refused, comparing every pair; None if it is not.
+
+    Entries are taken in list order; for each, every other entry is tried
+    as a prefix, so the reported pair is the first offending entry with
+    the earliest listed entry above it. A malformed coordinate reports
+    ``"malformed"``.
+    """
+    if len(set(coords)) != len(coords):
+        return "duplicate coordinates in update set"
+    for a in coords:
+        if any(ch not in "01" for ch in a):
+            return "malformed"
+        for b in coords:
+            if a != b and a[: len(b)] == b:
+                return f"update set is not dependency-free: {a} lies below {b}"
+    return None
+
+
 # -- intrinsic-subset fixpoint -------------------------------------------------
 
 

@@ -45,6 +45,19 @@ def sibling_heavy_antichain(rng: random.Random, depth: int) -> list[NodeRef]:
     return entries
 
 
+def random_cut(rng: random.Random, depth: int, size: int) -> list[NodeRef]:
+    """Dependency-free set with many complete sibling groups: split random
+    nodes of a cut through the tree, then drop about a fifth of the cut."""
+    cut = ["0", "1"]
+    while len(cut) < size:
+        coord = cut.pop(rng.randrange(len(cut)))
+        if len(coord) == depth:
+            cut.append(coord)
+            continue
+        cut += [coord + "0", coord + "1"]
+    return [NodeRef(c, Digest(random_digest(rng))) for c in cut if rng.random() < 0.8]
+
+
 def fresh_pair(rng, depth=4):
     leaves = random_leaves(rng, depth, count=1 << depth)
     return make_platform(leaves, depth), make_platform(leaves, depth)
@@ -104,6 +117,13 @@ class TestIntrinsicSubsets:
             )
             expected = sorted(fixpoint_intrinsic_subsets({e.coord for e in entries}))
             assert got == expected
+
+    def test_large_sets_match_fixpoint_oracle(self, rng):
+        for _ in range(20):
+            entries = random_cut(rng, 10, rng.randint(2, 300))
+            rng.shuffle(entries)
+            got = [(s.span_root, tuple(m.coord for m in s.members)) for s in find_intrinsic_subsets(entries, 10)]
+            assert got == fixpoint_intrinsic_subsets({e.coord for e in entries})
 
     def test_rejects_dependent_sets(self, rng):
         entries = [NodeRef("0", Digest(random_digest(rng))), NodeRef("01", Digest(random_digest(rng)))]
@@ -224,3 +244,15 @@ class TestBulkEquivalence:
         assert bulk.engine.stats.verify_ops == naive.engine.stats.verify_ops
         assert bulk.engine.stats.extend_ops == naive.engine.stats.extend_ops
         assert serialize_sml(naive.tree) == serialize_sml(bulk.tree)
+
+    def test_contiguous_leaf_block_is_one_verified_update(self, rng):
+        depth = 12
+        leaves = random_leaves(rng, depth, count=1 << depth)
+        entries = [NodeRef(format(i, f"0{depth}b"), Digest(random_digest(rng))) for i in range(1024, 2048)]
+        naive, bulk = make_platform(leaves, depth), make_platform(leaves, depth)
+        before = naive.engine.stats.verify_ops
+        assert bulk.engine.stats.verify_ops == before
+        assert apply_update_set(list(entries), naive) == apply_update_set_bulk(list(entries), bulk)
+        assert serialize_sml(naive.tree) == serialize_sml(bulk.tree)
+        assert naive.engine.stats.verify_ops - before == 1024
+        assert bulk.engine.stats.verify_ops - before == 1

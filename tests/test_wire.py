@@ -8,19 +8,26 @@ import pytest
 from conftest import make_platform
 from oracle import random_leaves
 from treepcr import SigningKey, extract_subtree, serialize_sml
-from treepcr.certification import AttestationPackage, build_attestation_package
+from treepcr.certification import AttestationPackage, PrivacyCa, build_attestation_package
 from treepcr.discovery import DiscoveryData
+from treepcr.encoding import pack_fields, unpack_fields
+from treepcr.engine import Quote
 from treepcr.protocol import certify_subtree, make_validation_bundle
 from treepcr.sca import OK, REJECT_PACKAGE, PolicyTable, SubtreeCa
 from treepcr.validator import validate_subtree
 from treepcr.wire import (
     MAX_FRAME,
+    MSG_ATTEST,
     MSG_ATTEST_RESP,
     MSG_ERROR,
     MSG_NONCE,
+    MSG_NONCE_RESP,
+    MSG_PASSIVE,
     FrameError,
     ProtocolFrameError,
     ScaClient,
+    pack_passive_request,
+    parse_error,
     read_frame,
     start_server,
     write_frame,
@@ -202,6 +209,40 @@ class TestService:
             with pytest.raises(ProtocolFrameError) as err:
                 client.verify_and_issue(AttestationPackage(bad_tag, platform.aik.public))
         assert err.value.code == "bad-payload"
+
+    def test_undecodable_text_fields_get_bad_payload(self, served):
+        # one hostile text field in each of four message layouts; the session survives each
+        platform, _, _, address = served
+        aik_pub = platform.aik.public
+
+        def replace_field(blob, count, index, value):
+            fields = unpack_fields(blob, count=count)
+            fields[index] = value
+            return pack_fields(*fields)
+
+        quote = platform.quote_node("01", secrets.token_bytes(16)).to_bytes()
+        aik_cert = PrivacyCa().issue(aik_pub, "platform").to_bytes()
+        package = AttestationPackage(Quote.from_bytes(quote), aik_pub, coord="01").to_bytes()
+        passive = pack_passive_request(
+            platform.node("0"), serialize_sml(extract_subtree(platform.tree, "0")), aik_pub, None
+        )
+        frames = [
+            (MSG_ATTEST, replace_field(package, 8, 4, b"c\xff")),
+            (MSG_ATTEST, replace_field(package, 8, 1, replace_field(quote, 10, 6, b"c\xff"))),
+            (MSG_PASSIVE, replace_field(passive, 5, 0, b"\xff")),
+            (MSG_ATTEST, replace_field(package, 8, 5, replace_field(aik_cert, 5, 1, b"\xff\xfe"))),
+        ]
+        sock = socket.create_connection(address, timeout=5)
+        try:
+            for msg_type, payload in frames:
+                write_frame(sock, msg_type, payload)
+                got, body = read_frame(sock)
+                assert got == MSG_ERROR and parse_error(body)[0] == "bad-payload"
+                write_frame(sock, MSG_NONCE, b"")
+                got, nonce = read_frame(sock)
+                assert got == MSG_NONCE_RESP and len(nonce) == 16
+        finally:
+            sock.close()
 
     def test_client_surfaces_error_frames(self, served):
         _, _, _, address = served
