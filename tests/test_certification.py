@@ -317,8 +317,11 @@ class TestUpdateSetShapes:
         value = SHA1.measure(b"v")
         for _ in range(400):
             depth = rng.randint(1, 6)
-            coords = ["".join(rng.choice("01") for _ in range(rng.randint(1, depth))) for _ in range(rng.randint(0, 8))]
-            coords = [c for i, c in enumerate(coords) if not any(c.startswith(d) or d.startswith(c) for d in coords[:i])]
+            coords = []
+            for _ in range(rng.randint(0, 8)):
+                coord = "".join(rng.choice("01") for _ in range(rng.randint(1, depth)))
+                if not any(coord.startswith(c) or c.startswith(coord) for c in coords):
+                    coords.append(coord)
             for _ in range(rng.randint(0, 2)):  # spoil the antichain now and then
                 extra = rng.choice(["", "2", "01x", "0 1"] + [c[: rng.randint(0, len(c))] for c in coords])
                 coords.insert(rng.randint(0, len(coords)), extra)

@@ -122,7 +122,8 @@ class TestIntrinsicSubsets:
         for _ in range(20):
             entries = random_cut(rng, 10, rng.randint(2, 300))
             rng.shuffle(entries)
-            got = [(s.span_root, tuple(m.coord for m in s.members)) for s in find_intrinsic_subsets(entries, 10)]
+            subsets = find_intrinsic_subsets(entries, 10)
+            got = [(s.span_root, tuple(m.coord for m in s.members)) for s in subsets]
             assert got == fixpoint_intrinsic_subsets({e.coord for e in entries})
 
     def test_rejects_dependent_sets(self, rng):

@@ -163,8 +163,6 @@ class TestService:
     def test_bad_payload_yields_error_frame_and_session_survives(self, served):
         _, _, _, address = served
         sock = socket.create_connection(address, timeout=5)
-        from treepcr.wire import MSG_ATTEST
-
         write_frame(sock, MSG_ATTEST, b"not a package")
         msg_type, _ = read_frame(sock)
         assert msg_type == MSG_ERROR
