@@ -638,6 +638,72 @@ class TestAdmin:
                     assert state is RegisterState.CR
 
 
+def _with_bad(p, position, bad):
+    """Node, siblings and trace of "010" with the digest at ``position`` replaced by ``bad``."""
+    node, reduced, trace = p.node("010"), p.reduced("010"), p.trace("010")
+    kind, _, k = position.partition("-")
+    if kind == "node":
+        node = NodeRef(node.coord, bad)
+    elif kind in ("sibling", "trace"):
+        refs = reduced if kind == "sibling" else trace
+        refs[int(k)] = NodeRef(refs[int(k)].coord, bad)
+    return node, reduced, trace
+
+
+def _free_register(engine):
+    return next(i for i in range(engine.register_count) if engine.register_state(i) is RegisterState.FREE)
+
+
+_NODE_AND_SIBLINGS = ("node", "sibling-0", "sibling-1", "sibling-2")
+#: (command, digest positions it takes, a run given the platform, its armed session and the inputs)
+INPUT_CHECKS = [
+    ("tree_extend", ("measurement",), lambda p, s, bad, n, r, t: p.engine.tree_extend(p.root_reg, bad)),
+    ("extend_register", ("measurement",),
+     lambda p, s, bad, n, r, t: p.engine.extend_register(_free_register(p.engine), bad)),
+    ("reduced_tree_verify", _NODE_AND_SIBLINGS, lambda p, s, bad, n, r, t: p.engine.reduced_tree_verify(n, r, p.root_reg)),
+    ("reduced_tree_verify_load", _NODE_AND_SIBLINGS,
+     lambda p, s, bad, n, r, t: p.engine.reduced_tree_verify_load(n, r, p.root_reg)),
+    ("tree_node_verify", ("sibling-0", "sibling-1", "sibling-2", "trace-0", "trace-1", "trace-2"),
+     lambda p, s, bad, n, r, t: p.engine.tree_node_verify("010", r, t, p.root_reg)),
+    ("reduced_tree_update", ("new",), lambda p, s, bad, n, r, t: p.engine.reduced_tree_update(s, bad)),
+    ("tree_node_quote", _NODE_AND_SIBLINGS,
+     lambda p, s, bad, n, r, t: p.engine.tree_node_quote(n, r, p.root_reg, p.aik, b"n")),
+    ("reduced_tree_quote", _NODE_AND_SIBLINGS, lambda p, s, bad, n, r, t: p.engine.reduced_tree_quote(
+        n.value, [ref.value for ref in r], "010", p.root_reg, p.aik, b"n")),
+]
+
+
+class TestInputChecks:
+    """A digest of the wrong length, in any position, is refused before any register changes."""
+
+    @staticmethod
+    def _snapshot(engine):
+        return [(engine.register_value(i), engine.register_state(i)) for i in range(engine.register_count)]
+
+    @pytest.mark.parametrize("bad", [Digest(b"\x05" * 5), Digest(b"\x20" * 32)], ids=["5-byte", "32-byte"])
+    @pytest.mark.parametrize(
+        "command, position, run",
+        [pytest.param(c, pos, run, id=f"{c}-{pos}") for c, positions, run in INPUT_CHECKS for pos in positions],
+    )
+    def test_wrong_length_digest_refused_and_nothing_changes(self, rng, command, position, run, bad):
+        # an open tree for the extend, a closed one for everything else
+        platform = make_platform(random_leaves(rng, 3, count=5 if command == "tree_extend" else 8), 3)
+        engine = platform.engine
+        session = None
+        if command == "reduced_tree_update":
+            session = _load(platform, "010").session
+        before = self._snapshot(engine)
+        with pytest.raises(ValueError):
+            run(platform, session, bad, *_with_bad(platform, position, bad))
+        assert self._snapshot(engine) == before
+        if session is not None:
+            # the refused update left the session armed: it still performs the update
+            result = engine.reduced_tree_update(session, SHA1.measure(b"new"))
+            assert result.trace[-1] == NodeRef("010", SHA1.measure(b"new"))
+            assert result.root == platform.root() != before[platform.root_reg][0]
+            assert session.status is SessionStatus.CONSUMED
+
+
 def _load(p, coord):
     return p.engine.reduced_tree_verify_load(p.node(coord), p.reduced(coord), p.root_reg)
 
