@@ -4,6 +4,11 @@ Register and tree values are digests of one fixed hash algorithm, or the
 distinguished empty value ``NIL``. ``NIL`` is carried as an explicit
 variant (never a reserved byte pattern) and acts as a two-sided unit of
 ``extend``, so sparsely occupied trees fold without special cases.
+
+``Digest`` is the public value type; inside the log, the folds and the
+device a value is raw ``bytes``, or None for nil. ``extend_raw`` is the one
+nil-unit rule for raw values (``HashConfig.extend`` and ``chiral_extend``
+wrap it), and ``HashConfig.check`` checks a length once, where a value enters.
 """
 
 from __future__ import annotations
@@ -44,17 +49,36 @@ class Digest:
 NIL = Digest(None)
 
 
+def as_digest(raw: bytes | None) -> Digest:
+    """The public value of a raw digest: ``NIL`` for None."""
+    return NIL if raw is None else Digest(raw)
+
+
+def extend_raw(new, x: bytes | None, y: bytes | None) -> bytes | None:
+    """H(x || y) on raw values under hashlib's ``new``; None is a two-sided unit."""
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return new(x + y).digest()
+
+
 def parse_digest(text: str, size: int | None = None) -> Digest:
     """Inverse of Digest.to_text(); checks length when ``size`` is given."""
+    return as_digest(parse_raw(text, size))
+
+
+def parse_raw(text: str, size: int | None = None) -> bytes | None:
+    """``parse_digest`` to a raw value: None for ``nil``."""
     if text == "nil":
-        return NIL
+        return None
     try:
         raw = bytes.fromhex(text)
     except ValueError as exc:
         raise ValueError(f"bad digest hex {text!r}") from exc
     if size is not None and len(raw) != size:
         raise ValueError(f"digest {text!r} has {len(raw)} bytes, expected {size}")
-    return Digest(raw)
+    return raw
 
 
 def digest_to_wire(digest: Digest) -> bytes:
@@ -98,11 +122,7 @@ class HashConfig:
 
     def extend(self, x: Digest, y: Digest) -> Digest:
         """H(x || y), with nil as a two-sided unit and nil,nil -> nil."""
-        if x.value is None:
-            return y
-        if y.value is None:
-            return x
-        return Digest(_HASHERS[self.algorithm](x.value + y.value).digest())
+        return as_digest(extend_raw(_HASHERS[self.algorithm], x.value, y.value))
 
     def chiral_extend(self, x: Digest, order_bit: int | str, y: Digest) -> Digest:
         """extend(x, y) when order_bit is 1, extend(y, x) when it is 0.
@@ -110,18 +130,14 @@ class HashConfig:
         The order bit is the tree-coordinate digit of the node being
         folded: it decides which argument is the left child.
         """
-        if order_bit in (1, "1"):
-            return self.extend(x, y)
-        if order_bit in (0, "0"):
-            return self.extend(y, x)
-        raise ValueError(f"order bit must be 0 or 1, got {order_bit!r}")
+        if order_bit not in (0, 1, "0", "1"):
+            raise ValueError(f"order bit must be 0 or 1, got {order_bit!r}")
+        return self.extend(x, y) if order_bit in (1, "1") else self.extend(y, x)
 
     def check(self, digest: Digest) -> Digest:
         """Validate digest length against this configuration."""
         if digest.value is not None and len(digest.value) != self.size:
-            raise ValueError(
-                f"digest has {len(digest.value)} bytes, expected {self.size} for {self.algorithm}"
-            )
+            raise ValueError(f"digest has {len(digest.value)} bytes, expected {self.size} for {self.algorithm}")
         return digest
 
 

@@ -27,8 +27,10 @@ from .crypto import (
     Signature,
     SigningKey,
     VerifyingKey,
+    as_digest,
     digest_from_wire,
     digest_to_wire,
+    extend_raw,
     sign,
     verify,
 )
@@ -43,7 +45,6 @@ from .tree import (
     is_reduced_of,
     is_trace_of,
     reduced_coords,
-    trace_coords,
 )
 
 logger = logging.getLogger(__name__)
@@ -442,34 +443,27 @@ class TreeTpm:
                 raise TreeComplete("tree complete")
             self.config.check(measurement)
 
-            index = meta.leaf_count
-            depth = meta.depth
+            index, depth, tb = meta.leaf_count, meta.depth, meta.tb_regs
             coord = format(index, f"0{depth}b")
-            nodes = [NodeRef(coord, measurement)]
-            value = measurement
-            stored = False
-            touched = [reg]
+            new, regs = self.config.hasher, self._regs
+            nodes, value, touched = [], measurement, [reg]
             for height in range(depth):
+                nodes.append(NodeRef(coord[: depth - height], value))
                 if (index >> height) & 1:
                     # left sibling subtree is complete: merge it in
-                    value = self.config.extend(self._regs[meta.tb_regs[height]].value, value)
-                else:
-                    if not stored:
-                        self._regs[meta.tb_regs[height]].value = value
-                        touched.append(meta.tb_regs[height])
-                        stored = True
-                    # right sibling still empty; nil unit leaves value unchanged
-                ancestor = coord[: depth - height - 1]
-                if ancestor:
-                    nodes.append(NodeRef(ancestor, value))
+                    value = as_digest(extend_raw(new, regs[tb[height]].value.value, value.value))
+                elif len(touched) == 1:
+                    # the lowest open height keeps the value for a later merge
+                    regs[tb[height]].value = value
+                    touched.append(tb[height])
+                # otherwise the right sibling is still empty: nil unit, value unchanged
             register.value = value
             meta.leaf_count += 1
             self.stats.extend_ops += 1
 
-            closed = False
-            if meta.leaf_count == (1 << depth) and self.auto_close:
+            closed = meta.leaf_count == (1 << depth) and self.auto_close
+            if closed:
                 self._close(meta)
-                closed = True
             self._touch(touched)
             return TreeExtendResult(index, coord, nodes, value, closed)
 
@@ -526,15 +520,13 @@ class TreeTpm:
                 raise StateViolation(f"register {reg} is already free")
             if register.state is RegisterState.TB:
                 raise StateViolation("build-scratch registers are managed by their tree")
+            victims = [reg]
             if register.state in (RegisterState.AR, RegisterState.CR):
                 meta = self._meta_for_root(reg)
-                victims = [reg, *meta.tb_regs]
-                self._touch(victims)
-                self._free_regs(victims)
+                victims += meta.tb_regs
                 del self._trees[meta.uid]
-                return
-            self._touch([reg])
-            self._free_regs([reg])
+            self._touch(victims)
+            self._free_regs(victims)
 
     # -- verification and update -----------------------------------------
 
@@ -552,17 +544,19 @@ class TreeTpm:
         return hashlib.sha256(pack_fields(b"session", nonce)).digest()
 
     @staticmethod
-    def _trace(coord: str, path: list[Digest]) -> Trace:
-        """Top-down trace of a node from its ``fold_path`` (node first, root last)."""
-        return [NodeRef(c, v) for c, v in zip(trace_coords(coord), reversed(path[:-1]))]
+    def _trace(coord: str, path: list[bytes | None]) -> Trace:
+        """Top-down trace of a node from its raw ``fold_path`` (node first, root last)."""
+        return [NodeRef(coord[:k], as_digest(value)) for k, value in enumerate(reversed(path[:-1]), 1)]
 
-    def _check_verify_inputs(self, node: NodeRef, reduced: ReducedTree, meta: _TreeMeta) -> None:
+    def _check_verify_inputs(self, node: NodeRef, reduced: ReducedTree, meta: _TreeMeta, *new: Digest) -> list:
+        """One pass over a node, its siblings and any new value; returns the raw siblings."""
         check_coord(node.coord, meta.depth)
-        self.config.check(node.value)
         if not is_reduced_of(reduced, node.coord):
             raise ValueError(f"reduced tree coordinates must be {reduced_coords(node.coord)}")
-        for ref in reduced:
-            self.config.check(ref.value)
+        check = self.config.check
+        for value in (node.value, *new):
+            check(value)
+        return [check(ref.value).value for ref in reduced]
 
     def reduced_tree_verify_load(
         self, node: NodeRef, reduced: ReducedTree, root_reg: int
@@ -575,48 +569,53 @@ class TreeTpm:
         verification miss is a result, not an error).
         """
         with self._lock:
-            seq = self._command("reduced_tree_verify_load", root_reg, node.coord)
-            register, meta = self._root(root_reg)
-            self._check_verify_inputs(node, reduced, meta)
-            level = len(node.coord)
-            self.stats.verify_ops += 1
+            loaded = self._verify_load(node, reduced, root_reg)
+            return None if loaded is None else VerifyLoadResult(self._trace(node.coord, loaded[0]), loaded[1])
 
-            slots = self._alloc(level + 1, RegisterState.RT, meta.uid)
-            path = fold_path(node.value, node.coord, [ref.value for ref in reduced], self.config)
-            # the buffers hold the siblings, the staging register the folded root
-            for slot, (coord, value) in zip(slots, [*reduced, NodeRef(node.coord, path[-1])]):
-                self._regs[slot].coord, self._regs[slot].value = coord, value
-            if path[-1] != register.value:
-                self._free_regs(slots)
-                logger.debug("cmd %d verification error", seq)
-                return None
+    def _verify_load(self, node: NodeRef, reduced: ReducedTree, root_reg: int, *new: Digest):
+        """The load, checking ``new`` with the inputs; (raw fold path, session) or None."""
+        seq = self._command("reduced_tree_verify_load", root_reg, node.coord)
+        register, meta = self._root(root_reg)
+        siblings = self._check_verify_inputs(node, reduced, meta, *new)
+        level = len(node.coord)
+        self.stats.verify_ops += 1
 
-            nonce = pack_u32(seq) + pack_u32(next(self._command_counter))
-            session = UpdateSession(
-                session_id=next(self._session_counter),
-                coord=node.coord,
-                root_reg=root_reg,
-                buffer_regs=tuple(slots[:level]),
-                staging_reg=slots[level],
-                tree_uid=meta.uid,
-                nonce=nonce,
-                auth=self._session_auth(nonce),
-            )
-            self._sessions[session.session_id] = session
-            return VerifyLoadResult(self._trace(node.coord, path), session)
+        slots = self._alloc(level + 1, RegisterState.RT, meta.uid)
+        path = fold_path(node.value.value, node.coord, siblings, self.config)
+        # the buffers hold the siblings, the staging register the folded root
+        for slot, (coord, value) in zip(slots, [*reduced, NodeRef(node.coord, as_digest(path[-1]))]):
+            self._regs[slot].coord, self._regs[slot].value = coord, value
+        if path[-1] != register.value.value:
+            self._free_regs(slots)
+            logger.debug("cmd %d verification error", seq)
+            return None
+
+        nonce = pack_u32(seq) + pack_u32(next(self._command_counter))
+        session = UpdateSession(
+            session_id=next(self._session_counter),
+            coord=node.coord,
+            root_reg=root_reg,
+            buffer_regs=tuple(slots[:level]),
+            staging_reg=slots[level],
+            tree_uid=meta.uid,
+            nonce=nonce,
+            auth=self._session_auth(nonce),
+        )
+        self._sessions[session.session_id] = session
+        return path, session
 
     def reduced_tree_verify(self, node: NodeRef, reduced: ReducedTree, root_reg: int) -> Digest | None:
         """Single-register verification: streams the siblings, arms nothing."""
         with self._lock:
             seq = self._command("reduced_tree_verify", root_reg, node.coord)
             register, meta = self._root(root_reg)
-            self._check_verify_inputs(node, reduced, meta)
+            siblings = self._check_verify_inputs(node, reduced, meta)
             self.stats.verify_ops += 1
 
             slots = self._alloc(1, RegisterState.RT, meta.uid)
-            root = fold_to_root(node.value, node.coord, [ref.value for ref in reduced], self.config)
+            root = fold_path(node.value.value, node.coord, siblings, self.config)[-1]
             self._free_regs(slots)
-            if root != register.value:
+            if root != register.value.value:
                 logger.debug("cmd %d verification error", seq)
                 return None
             return register.value
@@ -637,19 +636,19 @@ class TreeTpm:
                 raise ValueError("trace coordinates do not match the node coordinate")
             if not is_reduced_of(reduced, coord):
                 raise ValueError("reduced tree coordinates do not match the node coordinate")
-            for ref in itertools.chain(trace, reduced):
-                self.config.check(ref.value)
+            check = self.config.check
+            pairs = [(check(sibling.value).value, check(ref.value).value) for sibling, ref in zip(reduced, trace)]
             self.stats.verify_ops += 1
 
             # the device walks with three working registers: parent, trace value, computed value
             slots = self._alloc(3, RegisterState.RT, meta.uid)
-            parent = register.value
-            for k, (bit, sibling, ref) in enumerate(zip(coord, reduced, trace), 1):
-                computed = self.config.chiral_extend(sibling.value, bit, ref.value)
+            new, parent = self.config.hasher, register.value.value
+            for k, (bit, (sibling, value)) in enumerate(zip(coord, pairs), 1):
+                computed = extend_raw(new, sibling, value) if bit == "1" else extend_raw(new, value, sibling)
                 if computed != parent:
                     self._free_regs(slots)
-                    return NodeVerifyBreach(k, computed)
-                parent = ref.value
+                    return NodeVerifyBreach(k, as_digest(computed))
+                parent = value
             self._free_regs(slots)
             return None
 
@@ -665,36 +664,40 @@ class TreeTpm:
                 raise BindingViolation("unknown update session")
             if self._session_auth(session.nonce) != session.auth:
                 raise BindingViolation("session authorisation digest mismatch")
-            bound = (*session.buffer_regs, session.staging_reg)
-            for slot in bound:
+            for slot in (*session.buffer_regs, session.staging_reg):
                 if self._regs[slot].state is not RegisterState.RT:
                     raise BindingViolation(f"bound register {slot} left the RT state")
-            self.config.check(new_value)
-            self.stats.update_ops += 1
+            return self._update(session, self.config.check(new_value).value)
 
-            siblings = [self._regs[slot].value for slot in session.buffer_regs]
-            path = fold_path(new_value, session.coord, siblings, self.config)
-            register = self._regs[session.root_reg]
-            register.value = path[-1]
-            session.status = SessionStatus.CONSUMED
-            del self._sessions[session.session_id]
-            self._free_regs(bound)
-            self._touch([session.root_reg, *bound])
-            # an updated tree can no longer be extended consistently: seal it
-            meta = self._meta_for_root(session.root_reg)
-            if not meta.closed:
-                self._close(meta)
-            return UpdateResult(self._trace(session.coord, path), register.value)
+    def _update(self, session: UpdateSession, new_value: bytes | None) -> UpdateResult:
+        """Consume a checked, armed session with a checked raw value."""
+        self.stats.update_ops += 1
+        siblings = [self._regs[slot].value.value for slot in session.buffer_regs]
+        path = fold_path(new_value, session.coord, siblings, self.config)
+        register = self._regs[session.root_reg]
+        register.value = as_digest(path[-1])
+        session.status = SessionStatus.CONSUMED
+        del self._sessions[session.session_id]
+        bound = (*session.buffer_regs, session.staging_reg)
+        self._free_regs(bound)
+        self._touch([session.root_reg, *bound])
+        # an updated tree can no longer be extended consistently: seal it
+        meta = self._meta_for_root(session.root_reg)
+        if not meta.closed:
+            self._close(meta)
+        return UpdateResult(self._trace(session.coord, path), register.value)
 
     def tree_node_verified_update(
         self, node: NodeRef, new_value: Digest, reduced: ReducedTree, root_reg: int
     ) -> UpdateResult | None:
-        """Atomic verify-then-update; on a verification miss nothing changes."""
+        """Atomic verify-then-update; on a verification miss or a refused input nothing changes."""
         with self._lock:
-            loaded = self.reduced_tree_verify_load(node, reduced, root_reg)
+            loaded = self._verify_load(node, reduced, root_reg, new_value)
             if loaded is None:
                 return None
-            return self.reduced_tree_update(loaded.session, new_value)
+            # the session was armed just now under the same lock
+            self._command("reduced_tree_update", root_reg, node.coord)
+            return self._update(loaded[1], new_value.value)
 
     # -- quoting -----------------------------------------------------------
 

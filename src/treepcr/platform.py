@@ -25,7 +25,6 @@ from .tree import (
     Trace,
     build_reduced_tree,
     build_trace,
-    check_coord,
 )
 
 
@@ -56,7 +55,7 @@ class Platform:
     def extend(self, measurement: Digest) -> Digest:
         """Feed one measurement to the device and mirror the returned delta."""
         result = self.engine.tree_extend(self.root_reg, measurement)
-        self.tree.set_path(result.index, [ref.value for ref in result.nodes])
+        self.tree.set_path(self.depth, result.index, [ref.value.value for ref in result.nodes])
         self.tree.leaf_count = result.index + 1
         return result.root
 
@@ -89,10 +88,7 @@ class Platform:
 
     def verify_node(self, coord: str) -> bool:
         """Check the stored node value against the protected root."""
-        return (
-            self.engine.reduced_tree_verify(self.node(coord), self.reduced(coord), self.root_reg)
-            is not None
-        )
+        return self.engine.reduced_tree_verify(self.node(coord), self.reduced(coord), self.root_reg) is not None
 
     def diagnose_node(self, coord: str) -> NodeVerifyBreach | None:
         """Top-down walk reporting the first breached level, None when intact."""
@@ -106,19 +102,15 @@ class Platform:
         Everything strictly below the replaced node loses its protection
         and is blanked in the mirror.
         """
-        result = self.engine.tree_node_verified_update(
-            self.node(coord), new_value, self.reduced(coord), self.root_reg
-        )
-        if result is None:
-            return None
-        self.apply_update(coord, result.trace)
+        result = self.engine.tree_node_verified_update(self.node(coord), new_value, self.reduced(coord), self.root_reg)
+        if result is not None:
+            self.apply_update(coord, result.trace)
         return result
 
     def apply_update(self, coord: str, trace: Trace) -> None:
-        """Mirror maintenance after an update at coord."""
-        for ref in trace:
-            self.tree.set_node(ref.coord, ref.value)
+        """Mirror maintenance after an update at coord: its trace, and blanks below."""
         self.tree.blank_below(coord)
+        self.tree.set_path(len(coord), int(coord, 2), [ref.value.value for ref in reversed(trace)])
 
     # -- quoting -----------------------------------------------------------
 
@@ -127,7 +119,6 @@ class Platform:
 
         Protocol rule: quoting requires the root to be complete (CR).
         """
-        check_coord(coord, self.depth, allow_root=True)
         if coord == "":
             if self.root_state() is not RegisterState.CR:
                 raise StateViolation("root quotes for certification require a complete (CR) root")
@@ -139,12 +130,9 @@ class Platform:
 
     def quote_reduced(self, coord: str, nonce: bytes) -> Quote:
         """Reduced-tree quote: signs node, siblings, and root for receiver-side folding."""
-        check_coord(coord, self.depth, allow_root=True)
         values = [ref.value for ref in self.reduced(coord)] if coord else []
         node_value = self.tree.node(coord) if coord else self.root()
-        return self.engine.reduced_tree_quote(
-            node_value, values, coord, self.root_reg, self.aik, nonce
-        )
+        return self.engine.reduced_tree_quote(node_value, values, coord, self.root_reg, self.aik, nonce)
 
     # -- persistence (process-spanning emulation) ---------------------------
 
@@ -177,9 +165,7 @@ class Platform:
         if self.engine.config != tree.config:
             raise ValueError("engine hash configuration differs from the document's")
         self.config = tree.config
-        frontier: list[Digest] = []
-        if doc.root_state == "AR":
-            frontier = _frontier_from_mirror(tree)
+        frontier = _frontier_from_mirror(tree) if doc.root_state == "AR" else []
         self.root_reg = self.engine.restore_tree(
             tree.depth, doc.root_value, doc.root_state, tree.leaf_count, frontier
         )
@@ -192,11 +178,8 @@ class Platform:
 
 def _frontier_from_mirror(tree: SmlTree) -> list[Digest]:
     """Completed-subtree roots per height, read back from the mirror."""
-    frontier = [NIL] * tree.depth
-    count = tree.leaf_count
-    for height in range(tree.depth):
-        if (count >> height) & 1:
-            index = (count >> height) - 1
-            coord = format(index, f"0{tree.depth - height}b")
-            frontier[height] = tree.node(coord)
-    return frontier
+    count, depth = tree.leaf_count, tree.depth
+    return [
+        tree.node(format((count >> height) - 1, f"0{depth - height}b")) if (count >> height) & 1 else NIL
+        for height in range(depth)
+    ]

@@ -8,24 +8,27 @@ the log stores every coordinate of length 1..depth, with ``NIL`` marking
 unoccupied positions so that serialization fixes the tree shape.
 
 Inside ``SmlTree`` a node is a position ``(level, index)``: coordinate
-``c`` sits at ``(len(c), int(c, 2))``, and each level is one list of
-digests in index order, so a node's children are ``2i`` and ``2i + 1``
-one level down and the subtree below a node covers one contiguous slice
-per level. Coordinate strings are checked once where they enter the
-public API; whole-log work (consistency checks, refolds, subtree copies,
-the file format) runs as level-by-level sweeps. The file format is the
+``c`` sits at ``(len(c), int(c, 2))``, and each level is one list of raw
+values (``bytes``, None for nil) in index order, so a node's children are
+``2i`` and ``2i + 1`` one level down and the subtree below a node covers
+one contiguous slice per level. ``Digest``/``NIL`` appear only where a
+value crosses the public API. Each input is checked once, where it enters
+(``set_node``, ``parse_sml``, the device commands), and never further down.
+Whole-log work runs as level sweeps; ``recompute_root`` and
+``find_inconsistency`` share one row-at-a-time fold. The file format is the
 coordinate-string text shown in the README and does not depend on this
 layout. ``fold_path`` is the one fold of a node through its sibling list
-(its Merkle audit path): device verify, update and node quotes, and the
-receiver's refold of a reduced quote, all run it.
+(its Merkle audit path), on raw values: device verify, update and node
+quotes, and the receiver's refold of a reduced quote, all run it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .crypto import NIL, Digest, HashConfig, SHA1, parse_digest
+from .crypto import Digest, HashConfig, SHA1, as_digest, extend_raw, parse_digest, parse_raw
 from .encoding import EncodingError
 
 Coord = str
@@ -110,25 +113,28 @@ Trace = list[NodeRef]
 ReducedTree = list[NodeRef]
 
 
-def fold_path(value: Digest, coord: Coord, sibling_values: Sequence[Digest], config: HashConfig) -> list[Digest]:
-    """Fold a node value through its sibling list with the ordered extend.
+def fold_path(
+    value: bytes | None, coord: Coord, sibling_values: Sequence[bytes | None], config: HashConfig
+) -> list[bytes | None]:
+    """Fold a raw node value through its raw sibling list with the ordered extend.
 
-    Entry k of ``sibling_values`` is the sibling at level k + 1 and the
-    coordinate gives the order bit at each level. Returns the values met
-    on the way up: the node's own first, the root candidate last.
+    Entry k of ``sibling_values`` is the sibling at level k + 1; digit k of
+    the (checked) coordinate is its order bit, 1 putting the sibling left.
+    Returns the values met on the way up: the node's own first, the root
+    candidate last.
     """
-    check_coord(coord, allow_root=True)
     if len(sibling_values) != len(coord):
         raise ValueError(f"need {len(coord)} sibling values, got {len(sibling_values)}")
-    path, chiral_extend = [value], config.chiral_extend
-    for k in range(len(coord), 0, -1):
-        path.append(chiral_extend(sibling_values[k - 1], coord[k - 1], path[-1]))
+    path, new = [value], config.hasher
+    for bit, sibling in zip(reversed(coord), reversed(sibling_values)):
+        value = extend_raw(new, sibling, value) if bit == "1" else extend_raw(new, value, sibling)
+        path.append(value)
     return path
 
 
 def fold_to_root(value: Digest, coord: Coord, reduced_values: Sequence[Digest], config: HashConfig) -> Digest:
-    """The root candidate of ``fold_path``."""
-    return fold_path(value, coord, reduced_values, config)[-1]
+    """The root candidate of ``fold_path``, for public digest values."""
+    return as_digest(fold_path(value.value, coord, [d.value for d in reduced_values], config)[-1])
 
 
 class SmlTree:
@@ -146,9 +152,10 @@ class SmlTree:
         self.config = config
         self.root_register = root_register
         self.leaf_count = 0
-        # _levels[k][i] is the node at (level k, index i); level 0 is the
-        # root position, which a register holds, so its one slot stays NIL
-        self._levels: list[list[Digest]] = [[NIL] * (1 << k) for k in range(depth + 1)]
+        # _levels[k][i] is the raw value at (level k, index i), None for nil;
+        # level 0 is the root position, which a register holds, so its one
+        # slot stays None
+        self._levels: list[list[bytes | None]] = [[None] * (1 << k) for k in range(depth + 1)]
 
     @property
     def capacity(self) -> int:
@@ -168,23 +175,24 @@ class SmlTree:
 
     def node(self, coord: Coord) -> Digest:
         level, index = self._locate(coord)
-        return self._levels[level][index]
+        return as_digest(self._levels[level][index])
 
     def set_node(self, coord: Coord, value: Digest) -> None:
         level, index = self._locate(coord)
-        self._levels[level][index] = self.config.check(value)
+        self._levels[level][index] = self.config.check(value).value
 
-    def set_path(self, leaf_index: int, values: Sequence[Digest]) -> None:
-        """Write values on the path from a leaf upward, leaf first.
+    def set_path(self, level: int, index: int, values: Sequence[bytes | None]) -> None:
+        """Write the device's (checked) raw values up from node ``(level, index)``.
 
-        This is the shape of a tree-extend delta: entry h belongs to the
-        ancestor h levels above leaf ``leaf_index``.
+        Entry h belongs to the ancestor h levels above the node: a
+        tree-extend delta ends at its leaf, a reversed update trace at the
+        updated node.
         """
-        if not 0 <= leaf_index < self.capacity or len(values) > self.depth:
-            raise ValueError(f"no path of {len(values)} nodes above leaf {leaf_index}")
-        check = self.config.check
+        if not (0 < level <= self.depth and 0 <= index < 1 << level and len(values) <= level):
+            raise ValueError(f"no path of {len(values)} nodes above node {index} of level {level}")
+        levels = self._levels
         for height, value in enumerate(values):
-            self._levels[self.depth - height][leaf_index >> height] = check(value)
+            levels[level - height][index >> height] = value
 
     def blank_below(self, coord: Coord) -> None:
         """Set every node strictly below coord to NIL: one slice per level."""
@@ -192,36 +200,25 @@ class SmlTree:
         for k in range(level + 1, self.depth + 1):
             shift = k - level
             lo, hi = index << shift, (index + 1) << shift
-            self._levels[k][lo:hi] = [NIL] * (hi - lo)
+            self._levels[k][lo:hi] = [None] * (hi - lo)
 
     def occupied(self) -> Iterator[NodeRef]:
         for level in range(1, self.depth + 1):
             for index, value in enumerate(self._levels[level]):
-                if value.value is not None:
-                    yield NodeRef(format(index, f"0{level}b"), value)
+                if value is not None:
+                    yield NodeRef(format(index, f"0{level}b"), Digest(value))
 
     def copy(self) -> "SmlTree":
-        dup = SmlTree.__new__(SmlTree)
-        dup.depth = self.depth
-        dup.config = self.config
-        dup.root_register = self.root_register
-        dup.leaf_count = self.leaf_count
+        dup = copy.copy(self)
         dup._levels = [row[:] for row in self._levels]
         return dup
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SmlTree):
-            return NotImplemented
-        return (
-            self.depth == other.depth
-            and self.config == other.config
-            and self.root_register == other.root_register
-            and self.leaf_count == other.leaf_count
-            and self._levels == other._levels
-        )
+        # depth, config, root register, leaf count and every level
+        return vars(self) == vars(other) if isinstance(other, SmlTree) else NotImplemented
 
     def __repr__(self) -> str:
-        occupied = sum(v.value is not None for row in self._levels for v in row)
+        occupied = sum(v is not None for row in self._levels for v in row)
         return f"SmlTree(depth={self.depth}, leaves={self.leaf_count}, occupied={occupied})"
 
 
@@ -237,7 +234,7 @@ def build_trace(tree: SmlTree, coord: Coord) -> Trace:
     """Trace of a node as stored in the log (level 1 first)."""
     level, index = tree._locate(coord)
     levels = tree._levels
-    return [NodeRef(coord[:k], levels[k][index >> (level - k)]) for k in range(1, level + 1)]
+    return [NodeRef(coord[:k], as_digest(levels[k][index >> (level - k)])) for k in range(1, level + 1)]
 
 
 def build_reduced_tree(tree: SmlTree, coord: Coord) -> ReducedTree:
@@ -245,8 +242,8 @@ def build_reduced_tree(tree: SmlTree, coord: Coord) -> ReducedTree:
     level, index = tree._locate(coord)
     levels = tree._levels
     return [
-        NodeRef(sibling, levels[k][(index >> (level - k)) ^ 1])
-        for k, sibling in enumerate(reduced_coords(coord), 1)
+        NodeRef(coord[: k - 1] + _FLIP[coord[k - 1]], as_digest(levels[k][(index >> (level - k)) ^ 1]))
+        for k in range(1, level + 1)
     ]
 
 
@@ -258,17 +255,11 @@ def recompute_root(tree: SmlTree) -> Digest:
     inner node was legitimately replaced (emptying its subtree) still
     folds to the register value.
     """
-    new = tree.config.hasher
-    acc = [v.value for v in tree._levels[tree.depth]]
+    new, levels = tree.config.hasher, tree._levels
+    row = levels[tree.depth]
     for level in range(tree.depth - 1, -1, -1):
-        acc = [
-            kept.value if a is None and b is None
-            else b if a is None
-            else a if b is None
-            else new(a + b).digest()
-            for a, b, kept in zip(acc[::2], acc[1::2], tree._levels[level])
-        ]
-    return NIL if acc[0] is None else Digest(acc[0])
+        row = [kept if folded is None else folded for folded, kept in zip(_fold_row(new, row), levels[level])]
+    return as_digest(row[0])
 
 
 def find_inconsistency(tree: SmlTree, claimed_root: Digest | None = None) -> Coord | None:
@@ -277,19 +268,22 @@ def find_inconsistency(tree: SmlTree, claimed_root: Digest | None = None) -> Coo
     Returns the empty string when the refolded root mismatches
     ``claimed_root``; None when the log is internally consistent.
     """
-    new = tree.config.hasher
-    levels = tree._levels
+    new, levels = tree.config.hasher, tree._levels
     for level in range(1, tree.depth):
-        below = levels[level + 1]
-        for index, (stored, a, b) in enumerate(zip(levels[level], below[::2], below[1::2])):
-            a, b = a.value, b.value
-            if stored.value != (b if a is None else a if b is None else new(a + b).digest()):
-                return format(index, f"0{level}b")
+        folded = _fold_row(new, levels[level + 1])
+        if folded != levels[level]:
+            index = next(i for i, (a, b) in enumerate(zip(folded, levels[level])) if a != b)
+            return format(index, f"0{level}b")
     # every inner value matches its children here, so recompute_root() would
-    # return exactly the extend of the two level-1 values
-    if claimed_root is not None and tree.config.extend(levels[1][0], levels[1][1]) != claimed_root:
+    # return exactly the fold of the two level-1 values
+    if claimed_root is not None and _fold_row(new, levels[1])[0] != claimed_root.value:
         return ""
     return None
+
+
+def _fold_row(new, row: list[bytes | None]) -> list[bytes | None]:
+    """The raw values one level up from ``row``: each pair under the nil-unit rule."""
+    return [b if a is None else a if b is None else new(a + b).digest() for a, b in zip(row[::2], row[1::2])]
 
 
 def extract_subtree(tree: SmlTree, coord: Coord) -> SmlTree:
@@ -300,7 +294,7 @@ def extract_subtree(tree: SmlTree, coord: Coord) -> SmlTree:
     sub = SmlTree(tree.depth - level, tree.config, root_register=tree.root_register)
     for k in range(1, sub.depth + 1):
         sub._levels[k] = tree._levels[level + k][index << k : (index + 1) << k]
-    sub.leaf_count = sum(v.value is not None for v in sub._levels[sub.depth])
+    sub.leaf_count = sum(v is not None for v in sub._levels[sub.depth])
     return sub
 
 
@@ -341,7 +335,7 @@ def serialize_sml(tree: SmlTree, root_value: Digest | None = None, root_state: s
         head.append(f"state={root_state}")
     lines = [" ".join(head)]
     for coords, row in zip(_coord_rows(tree.depth), tree._levels[1:]):
-        lines += [f"{coord} {value.to_text()}" for coord, value in zip(coords, row)]
+        lines += [f"{coord} {'nil' if value is None else value.hex()}" for coord, value in zip(coords, row)]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -400,7 +394,7 @@ def parse_sml(data: bytes) -> SmlDocument:
             if parts[0] != coord:
                 raise EncodingError(f"line {start + index + 1}: expected coordinate {coord}, got {parts[0]}")
             try:
-                row[index] = parse_digest(parts[1], size)
+                row[index] = parse_raw(parts[1], size)
             except ValueError as exc:
                 raise EncodingError(f"line {start + index + 1}: {exc}") from exc
         start += len(coords)

@@ -1,4 +1,6 @@
+import cProfile
 import dataclasses
+import pstats
 import random
 
 import pytest
@@ -670,6 +672,10 @@ INPUT_CHECKS = [
      lambda p, s, bad, n, r, t: p.engine.tree_node_quote(n, r, p.root_reg, p.aik, b"n")),
     ("reduced_tree_quote", _NODE_AND_SIBLINGS, lambda p, s, bad, n, r, t: p.engine.reduced_tree_quote(
         n.value, [ref.value for ref in r], "010", p.root_reg, p.aik, b"n")),
+    # the new value is the bad one only when the node and its siblings are intact
+    ("tree_node_verified_update", (*_NODE_AND_SIBLINGS, "new"),
+     lambda p, s, bad, n, r, t: p.engine.tree_node_verified_update(
+         n, bad if (n, r) == (p.node("010"), p.reduced("010")) else SHA1.measure(b"new"), r, p.root_reg)),
 ]
 
 
@@ -706,6 +712,17 @@ class TestInputChecks:
 
 def _load(p, coord):
     return p.engine.reduced_tree_verify_load(p.node(coord), p.reduced(coord), p.root_reg)
+
+
+def test_verified_update_checks_each_input_once(rng):
+    depth = 8
+    platform = make_platform(random_leaves(rng, depth, count=1 << depth), depth)
+    profile = cProfile.Profile()
+    profile.runcall(platform.verified_update, "01101001", SHA1.measure(b"new"))
+    calls = {name: n for (_, _, name), (_, n, *_rest) in pstats.Stats(profile).stats.items()}
+    assert calls.get("check_coord", 0) <= 4  # platform node and siblings, device, mirror blanking
+    assert calls.get("check", 0) == depth + 2  # node, siblings and new value, at the device
+    assert "set_node" not in calls and "extend" not in calls and "chiral_extend" not in calls
 
 
 #: (command, coordinate, RT registers it needs, a run that is truthy on success)

@@ -405,6 +405,16 @@ class TestLevelStorage:
         with pytest.raises(EncodingError, match="^line 30: expected 30 node lines, got 29$"):
             parse_sml(("\n".join(lines[:-1]) + "\n").encode())
 
+    def test_levels_hold_raw_values_only(self, rng):
+        platform = make_platform(random_leaves(rng, 4, count=11), 4)
+        platform.close()
+        platform.verified_update("011", Digest(random_digest(rng)))
+        platform.tree.set_node("1", NIL)
+        loaded = parse_sml(serialize_sml(platform.tree, platform.root(), "CR")).tree
+        for tree in (platform.tree, loaded, extract_subtree(loaded, "0")):
+            assert all(value is None or type(value) is bytes for row in tree._levels for value in row)
+        assert loaded == platform.tree
+
     def test_empty_max_depth_tree_stays_small(self):
         tracemalloc.start()
         try:
