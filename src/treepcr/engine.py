@@ -369,23 +369,13 @@ class TreeTpm:
 
     # -- tree construction -----------------------------------------------
 
-    def create_tree(self, depth: int, root_reg: int | None = None) -> int:
+    def create_tree(self, depth: int) -> int:
         """Allocate a root register (state AR) plus depth build-scratch registers."""
         if depth < 1:
             raise ValueError("tree depth must be at least 1")
         with self._lock:
             self._command("create_tree", depth)
-            uid = f"tree-{next(self._tree_counter)}"
-            if root_reg is None:
-                (root_reg,) = self._alloc(1, RegisterState.AR, uid)
-            else:
-                if self._reg(root_reg).state is not RegisterState.FREE:
-                    raise StateViolation(f"register {root_reg} is not free")
-                self._regs[root_reg] = Register(NIL, RegisterState.AR, uid, "")
-            tb = self._alloc(depth, RegisterState.TB, uid)
-            self._regs[root_reg].coord = ""
-            self._trees[uid] = _TreeMeta(uid, depth, root_reg, tb)
-            return root_reg
+            return self._seat(depth, NIL, RegisterState.AR, 0, [NIL] * depth)
 
     def restore_tree(
         self,
@@ -405,24 +395,25 @@ class TreeTpm:
             raise ValueError(f"root state must be AR or CR, got {state!r}")
         if not 0 <= leaf_count <= (1 << depth):
             raise ValueError(f"leaf count {leaf_count} out of range for depth {depth}")
+        frontier = list(frontier) if state == "AR" else []
+        if state == "AR" and len(frontier) != depth:
+            raise ValueError(f"need {depth} frontier values, got {len(frontier)}")
+        for value in (root_value, *frontier):
+            self.config.check(value)
         with self._lock:
             self._command("restore_tree", depth, state, leaf_count)
-            uid = f"tree-{next(self._tree_counter)}"
-            (root_reg,) = self._alloc(1, RegisterState.AR, uid)
-            reg = self._regs[root_reg]
-            reg.value = self.config.check(root_value)
-            reg.coord = ""
-            tb: list[int] = []
-            if state == "CR":
-                reg.state = RegisterState.CR
-            else:
-                if len(frontier) != depth:
-                    raise ValueError(f"need {depth} frontier values, got {len(frontier)}")
-                tb = self._alloc(depth, RegisterState.TB, uid)
-                for slot, value in zip(tb, frontier):
-                    self._regs[slot].value = self.config.check(value)
-            self._trees[uid] = _TreeMeta(uid, depth, root_reg, tb, leaf_count, state == "CR")
-            return root_reg
+            return self._seat(depth, root_value, RegisterState[state], leaf_count, frontier)
+
+    def _seat(self, depth: int, root_value: Digest, state: RegisterState, leaf_count: int, frontier: list) -> int:
+        """Seat a tree from checked inputs: the root plus one build-scratch
+        register per frontier value, all allocated before any is written."""
+        uid = f"tree-{next(self._tree_counter)}"
+        root_reg, *tb = self._alloc(1 + len(frontier), RegisterState.TB, uid)
+        self._regs[root_reg] = Register(root_value, state, uid, "")
+        for slot, value in zip(tb, frontier):
+            self._regs[slot].value = value
+        self._trees[uid] = _TreeMeta(uid, depth, root_reg, tb, leaf_count, state is RegisterState.CR)
+        return root_reg
 
     def tree_extend(self, reg: int, measurement: Digest) -> TreeExtendResult:
         """Place a measurement at the next free leaf and refold the path to the root.

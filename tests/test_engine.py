@@ -737,6 +737,12 @@ FOOTPRINTS = [
     ("verified-update", "010", 4, lambda p, c: p.engine.tree_node_verified_update(
         p.node(c), SHA1.measure(b"new"), p.reduced(c), p.root_reg)),
 ]
+#: commands that seat a depth-2 tree, keeping the registers they need
+SEATINGS = [
+    ("create-tree", "d2", 3, lambda p, c: p.engine.create_tree(2)),
+    ("restore-tree-open", "d2", 3, lambda p, c: p.engine.restore_tree(2, p.root(), "AR", 1, [p.root(), NIL])),
+    ("restore-tree-closed", "d2", 1, lambda p, c: p.engine.restore_tree(2, p.root(), "CR", 4)),
+]
 
 
 class TestRegisterFootprint:
@@ -772,7 +778,8 @@ class TestRegisterFootprint:
         assert engine.free_register_count() == need
 
     @pytest.mark.parametrize(
-        "command, coord, need, run", [pytest.param(*c, id=f"{c[0]}-{c[1]}") for c in FOOTPRINTS if c[2] > 0]
+        "command, coord, need, run",
+        [pytest.param(*c, id=f"{c[0]}-{c[1]}") for c in FOOTPRINTS + SEATINGS if c[2] > 0],
     )
     def test_one_register_short_changes_nothing(self, rng, command, coord, need, run):
         platform = self._seated(rng, need - 1)
@@ -807,6 +814,25 @@ class TestPersistence:
         _, root = build_full_tree(leaves, 3)
         assert restored.root().value == root
         assert restored.root_state() is RegisterState.CR
+
+    def test_refused_create_strands_no_register(self):
+        tpm = TreeTpm(6)
+        with pytest.raises(InsufficientRegisters):
+            tpm.create_tree(8)
+        assert tpm.vdat() == {} and tpm.free_register_count() == 6
+
+    @pytest.mark.parametrize(
+        "root_value, frontier",
+        [
+            pytest.param(SHA1.measure(b"root"), [NIL], id="short-frontier"),
+            pytest.param(Digest(b"\x05" * 5), [NIL, NIL], id="5-byte-root"),
+        ],
+    )
+    def test_refused_restore_strands_no_register(self, root_value, frontier):
+        tpm = TreeTpm(6)
+        with pytest.raises(ValueError):
+            tpm.restore_tree(2, root_value, "AR", 1, frontier)
+        assert tpm.vdat() == {} and tpm.free_register_count() == 6
 
     def test_restored_register_is_authoritative(self, rng):
         from treepcr import Platform
