@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import secrets
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .certification import (
@@ -31,7 +32,7 @@ from .certification import (
 )
 from .crypto import Digest, HashConfig, SHA1, SigningKey, VerifyingKey, parse_digest
 from .engine import Quote, refold_reduced_quote, verify_quote
-from .tree import NodeRef, SmlTree, find_inconsistency, parse_sml
+from .tree import MAX_DEPTH, NodeRef, SmlTree, check_coord, find_inconsistency, parse_sml
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +43,9 @@ REJECT_FRESHNESS = "reject-freshness"
 REJECT_AIK_CERT = "reject-aik-certificate"
 REJECT_PACKAGE = "reject-package"
 REJECT_SUBTREE = "reject-subtree"
+
+#: outstanding nonces kept at most; issuing one more evicts the oldest
+MAX_NONCES = 65_536
 
 Properties = tuple[tuple[str, str], ...]
 
@@ -127,7 +131,7 @@ class SubtreeCa:
     ref_issuers: dict[str, VerifyingKey] = field(default_factory=dict)
     leaf_values: set[bytes] = field(default_factory=set)
     clock: object = None
-    _nonces: set[bytes] = field(default_factory=set)
+    _nonces: OrderedDict[bytes, None] = field(default_factory=OrderedDict)
 
     @property
     def public(self) -> VerifyingKey:
@@ -136,7 +140,10 @@ class SubtreeCa:
     def issue_nonce(self) -> bytes:
         """Freshness challenge; each nonce authorises exactly one package."""
         nonce = secrets.token_bytes(16)
-        self._nonces.add(nonce)
+        self._nonces[nonce] = None
+        if len(self._nonces) > MAX_NONCES:
+            # oldest first; one atomic popitem each, so concurrent issuers never evict one nonce twice
+            self._nonces.popitem(last=False)
         return nonce
 
     def verify_and_issue(self, package: AttestationPackage) -> IssueOutcome:
@@ -171,9 +178,9 @@ class SubtreeCa:
         exactly once, then the refold of a reduced quote. Returns the refusal."""
         if aik_pub is None or not verify_quote(quote, aik_pub):
             return IssueOutcome(REJECT_SIGNATURE, detail="quote signature invalid")
-        # one set.remove tests and spends: of concurrent submitters, one wins
+        # one pop tests and spends: of concurrent submitters, one wins
         try:
-            self._nonces.remove(quote.nonce)
+            self._nonces.pop(quote.nonce)
         except KeyError:
             return IssueOutcome(REJECT_FRESHNESS, detail="quote nonce unknown or already used")
         if quote.tag == "REDTREEQUOT" and not refold_reduced_quote(quote, self.config):
@@ -268,6 +275,10 @@ def passive_discover(
     the candidate coordinates; the platform then quotes each candidate
     and runs the ordinary attestation exchange per root.
     """
+    try:  # before admission, so that a malformed request spends no nonce
+        check_coord(root.coord, MAX_DEPTH - subtree.depth, allow_root=True)
+    except ValueError as exc:
+        return PassiveResult(REJECT_SUBTREE, f"bad root coordinate: {exc}")
     refusal = None
     if quote is not None:
         refusal = sca._admit(quote, aik_pub)

@@ -28,6 +28,7 @@ from treepcr.certification import (
 )
 from treepcr.encoding import EncodingError, pack_fields, unpack_fields
 from treepcr.protocol import ProtocolError, certify_subtree, make_validation_bundle
+from treepcr import sca as sca_module
 from treepcr.sca import (
     OK,
     REFUSED_UNKNOWN,
@@ -263,6 +264,18 @@ class TestScaIssue:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(statuses) == [OK] + [REJECT_FRESHNESS] * 7
+
+    def test_nonce_flood_evicts_the_oldest(self, rng, aik, pca, monkeypatch):
+        monkeypatch.setattr(sca_module, "MAX_NONCES", 4)
+        platform = certified_platform(rng, aik, pca)
+        sca = sca_for(platform, "01", "revealed", pca)
+        nonces = [sca.issue_nonce() for _ in range(50)]
+        assert len(sca._nonces) == 4
+        oldest, newest = (
+            build_attestation_package(platform.quote_node("01", nonce), aik.public) for nonce in (nonces[0], nonces[-1])
+        )
+        assert sca.verify_and_issue(oldest).status == REJECT_FRESHNESS
+        assert sca.verify_and_issue(newest).status == OK
 
     def test_value_mismatch_rejected(self, rng, aik, pca):
         platform = certified_platform(rng, aik, pca)

@@ -31,6 +31,7 @@ from treepcr.sca import (
     PolicyTable,
     SubtreeCa,
 )
+from treepcr.tree import MAX_DEPTH
 from treepcr.validator import validate_subtree
 from treepcr.protocol import make_validation_bundle
 
@@ -352,6 +353,20 @@ class TestPassive:
         result = passive_discover(sca, root, sub, quote=replay, aik_pub=platform.aik.public)
         assert result.status == REJECT_FRESHNESS
         assert result.certificates == []
+
+    @pytest.mark.parametrize("with_quote", [True, False], ids=["eager", "lazy"])
+    @pytest.mark.parametrize("coord", ["zz\x00", "0" * (MAX_DEPTH - 1), 0], ids=["not-binary", "too-deep", "not-text"])
+    def test_malformed_root_coordinate_refused_before_admission(self, rng, coord, with_quote):
+        platform = make_platform(random_leaves(rng, 3, count=8), 3)
+        sca = sca_with([platform.tree.node("00")])
+        root, sub, quote = self._submission(rng, platform, "0", sca, with_quote=with_quote)
+        bad = NodeRef(coord, root.value)
+        result = passive_discover(sca, bad, sub, quote=quote, aik_pub=platform.aik.public)
+        assert result.status == REJECT_SUBTREE and result.detail.startswith("bad root coordinate")
+        assert result.candidates == [] and result.certificates == []
+        # the nonce was not spent: the well-formed submission is still admitted
+        result = passive_discover(sca, root, sub, quote=quote, aik_pub=platform.aik.public)
+        assert result.status == (OK if with_quote else "quotes-required")
 
     def test_hash_algorithm_mismatch_refused(self, rng):
         platform = make_platform(random_leaves(rng, 3, "sha256", count=8), 3, config=SHA256)

@@ -7,13 +7,14 @@ import pytest
 
 from conftest import make_platform
 from oracle import random_leaves
-from treepcr import SigningKey, extract_subtree, serialize_sml
+from treepcr import NodeRef, SigningKey, extract_subtree, serialize_sml
 from treepcr.certification import AttestationPackage, PrivacyCa, build_attestation_package
 from treepcr.discovery import DiscoveryData
 from treepcr.encoding import pack_fields, unpack_fields
 from treepcr.engine import Quote
 from treepcr.protocol import certify_subtree, make_validation_bundle
-from treepcr.sca import OK, REJECT_PACKAGE, PolicyTable, SubtreeCa
+from treepcr.sca import OK, REJECT_PACKAGE, REJECT_SUBTREE, PolicyTable, SubtreeCa
+from treepcr.tree import MAX_DEPTH
 from treepcr.validator import validate_subtree
 from treepcr.wire import (
     MAX_FRAME,
@@ -147,6 +148,18 @@ class TestService:
             )
         assert result.status == "quotes-required"
         assert sorted(r.coord for r in result.candidates) == ["00", "01"]
+
+    def test_passive_malformed_root_coordinate_refused_without_spending_the_nonce(self, served):
+        platform, sca, server, address = served
+        blob = serialize_sml(extract_subtree(platform.tree, "0"))
+        with ScaClient(address) as client:
+            quote = platform.quote_node("0", client.issue_nonce())
+            for coord in ("zz\x00", "0" * MAX_DEPTH):
+                bad = NodeRef(coord, platform.tree.node("0"))
+                result = client.passive_discover(bad, blob, platform.aik.public, quote=quote)
+                assert result.status == REJECT_SUBTREE and result.candidates == []
+            result = client.passive_discover(platform.node("0"), blob, platform.aik.public, quote=quote)
+        assert result.status == OK
 
     def test_unknown_message_type_yields_error_frame(self, served):
         _, _, _, address = served
