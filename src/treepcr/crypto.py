@@ -8,13 +8,14 @@ variant (never a reserved byte pattern) and acts as a two-sided unit of
 ``Digest`` is the public value type; inside the log, the folds and the
 device a value is raw ``bytes``, or None for nil. ``extend_raw`` is the one
 nil-unit rule for raw values (``HashConfig.extend`` and ``chiral_extend``
-wrap it), and ``HashConfig.check`` checks a length once, where a value enters.
+wrap it), and ``HashConfig.check_raw`` is the one length rule, checked once
+where a value enters (``HashConfig.check`` wraps it for public digests).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric import ed25519
@@ -102,14 +103,13 @@ class HashConfig:
     """Hash algorithm, fixed for a register file and every tree it roots."""
 
     algorithm: str = "sha1"
+    #: digest length in bytes, set once from the algorithm
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.algorithm not in _HASHERS:
             raise ValueError(f"unsupported hash algorithm {self.algorithm!r}")
-
-    @property
-    def size(self) -> int:
-        return _SIZES[self.algorithm]
+        object.__setattr__(self, "size", _SIZES[self.algorithm])
 
     @property
     def hasher(self):
@@ -134,10 +134,15 @@ class HashConfig:
             raise ValueError(f"order bit must be 0 or 1, got {order_bit!r}")
         return self.extend(x, y) if order_bit in (1, "1") else self.extend(y, x)
 
+    def check_raw(self, value: bytes | None) -> bytes | None:
+        """The one length rule: a raw value is None (nil) or exactly ``size`` bytes."""
+        if value is not None and len(value) != self.size:
+            raise ValueError(f"digest has {len(value)} bytes, expected {self.size} for {self.algorithm}")
+        return value
+
     def check(self, digest: Digest) -> Digest:
-        """Validate digest length against this configuration."""
-        if digest.value is not None and len(digest.value) != self.size:
-            raise ValueError(f"digest has {len(digest.value)} bytes, expected {self.size} for {self.algorithm}")
+        """``check_raw`` on a public digest, returning it unchanged."""
+        self.check_raw(digest.value)
         return digest
 
 
@@ -175,6 +180,8 @@ class SigningKey:
     def __init__(self, private: ed25519.Ed25519PrivateKey) -> None:
         self._private = private
         self.public = VerifyingKey(private.public_key().public_bytes_raw())
+        #: ``public.fingerprint()``, hashed once: every signature carries it
+        self.fingerprint = self.public.fingerprint()
 
     @classmethod
     def generate(cls) -> "SigningKey":
@@ -201,7 +208,7 @@ def _signing_blob(tag: str, payload: bytes, nonce: bytes) -> bytes:
 
 def sign(key: SigningKey, tag: str, payload: bytes, nonce: bytes = b"") -> Signature:
     """Sign the canonical (tag, payload, nonce) blob."""
-    return Signature(key.sign_raw(_signing_blob(tag, payload, nonce)), key.public.fingerprint())
+    return Signature(key.sign_raw(_signing_blob(tag, payload, nonce)), key.fingerprint)
 
 
 def verify(key: VerifyingKey, tag: str, payload: bytes, nonce: bytes, signature: Signature) -> bool:

@@ -267,6 +267,13 @@ def refold_reduced_quote(quote: Quote, config: HashConfig) -> bool:
     return fold_to_root(quote.node_value, coord, quote.reduced_values, config) == quote.root_value
 
 
+def _raw_siblings(coord: str, reduced: ReducedTree) -> list[bytes | None]:
+    """The raw values of a public sibling list whose coordinates are ``coord``'s siblings."""
+    if not is_reduced_of(reduced, check_coord(coord)):
+        raise ValueError(f"reduced tree coordinates must be {reduced_coords(coord)}")
+    return [ref.value.value for ref in reduced]
+
+
 @dataclass
 class _TreeMeta:
     uid: str
@@ -539,15 +546,15 @@ class TreeTpm:
         """Top-down trace of a node from its raw ``fold_path`` (node first, root last)."""
         return [NodeRef(coord[:k], as_digest(value)) for k, value in enumerate(reversed(path[:-1]), 1)]
 
-    def _check_verify_inputs(self, node: NodeRef, reduced: ReducedTree, meta: _TreeMeta, *new: Digest) -> list:
-        """One pass over a node, its siblings and any new value; returns the raw siblings."""
-        check_coord(node.coord, meta.depth)
-        if not is_reduced_of(reduced, node.coord):
-            raise ValueError(f"reduced tree coordinates must be {reduced_coords(node.coord)}")
-        check = self.config.check
-        for value in (node.value, *new):
+    def _check_inputs(self, coord: str, meta: _TreeMeta, siblings: Sequence, *values: bytes | None) -> None:
+        """One pass over a command's raw inputs: the coordinate against the tree,
+        the sibling count, and the length of each value and sibling, once."""
+        check_coord(coord, meta.depth)
+        if len(siblings) != len(coord):
+            raise ValueError(f"need {len(coord)} sibling values, got {len(siblings)}")
+        check = self.config.check_raw
+        for value in (*values, *siblings):
             check(value)
-        return [check(ref.value).value for ref in reduced]
 
     def reduced_tree_verify_load(
         self, node: NodeRef, reduced: ReducedTree, root_reg: int
@@ -559,23 +566,24 @@ class TreeTpm:
         a root mismatch everything is released and None is returned (a
         verification miss is a result, not an error).
         """
+        siblings = _raw_siblings(node.coord, reduced)
         with self._lock:
-            loaded = self._verify_load(node, reduced, root_reg)
+            loaded = self._verify_load(node.coord, node.value.value, siblings, root_reg)
             return None if loaded is None else VerifyLoadResult(self._trace(node.coord, loaded[0]), loaded[1])
 
-    def _verify_load(self, node: NodeRef, reduced: ReducedTree, root_reg: int, *new: Digest):
-        """The load, checking ``new`` with the inputs; (raw fold path, session) or None."""
-        seq = self._command("reduced_tree_verify_load", root_reg, node.coord)
+    def _verify_load(self, coord: str, value: bytes | None, siblings: Sequence, root_reg: int, *new: bytes | None):
+        """The raw load, checking ``new`` with the inputs; (raw fold path, session) or None."""
+        seq = self._command("reduced_tree_verify_load", root_reg, coord)
         register, meta = self._root(root_reg)
-        siblings = self._check_verify_inputs(node, reduced, meta, *new)
-        level = len(node.coord)
+        self._check_inputs(coord, meta, siblings, value, *new)
+        level = len(coord)
         self.stats.verify_ops += 1
 
         slots = self._alloc(level + 1, RegisterState.RT, meta.uid)
-        path = fold_path(node.value.value, node.coord, siblings, self.config)
+        path = fold_path(value, coord, siblings, self.config)
         # the buffers hold the siblings, the staging register the folded root
-        for slot, (coord, value) in zip(slots, [*reduced, NodeRef(node.coord, as_digest(path[-1]))]):
-            self._regs[slot].coord, self._regs[slot].value = coord, value
+        for slot, slot_coord, slot_value in zip(slots, [*reduced_coords(coord), coord], [*siblings, path[-1]]):
+            self._regs[slot].coord, self._regs[slot].value = slot_coord, as_digest(slot_value)
         if path[-1] != register.value.value:
             self._free_regs(slots)
             logger.debug("cmd %d verification error", seq)
@@ -584,7 +592,7 @@ class TreeTpm:
         nonce = pack_u32(seq) + pack_u32(next(self._command_counter))
         session = UpdateSession(
             session_id=next(self._session_counter),
-            coord=node.coord,
+            coord=coord,
             root_reg=root_reg,
             buffer_regs=tuple(slots[:level]),
             staging_reg=slots[level],
@@ -596,15 +604,21 @@ class TreeTpm:
         return path, session
 
     def reduced_tree_verify(self, node: NodeRef, reduced: ReducedTree, root_reg: int) -> Digest | None:
+        """``NodeRef`` form of ``reduced_tree_verify_raw``."""
+        return self.reduced_tree_verify_raw(node.coord, node.value.value, _raw_siblings(node.coord, reduced), root_reg)
+
+    def reduced_tree_verify_raw(
+        self, coord: str, value: bytes | None, siblings: Sequence[bytes | None], root_reg: int
+    ) -> Digest | None:
         """Single-register verification: streams the siblings, arms nothing."""
         with self._lock:
-            seq = self._command("reduced_tree_verify", root_reg, node.coord)
+            seq = self._command("reduced_tree_verify", root_reg, coord)
             register, meta = self._root(root_reg)
-            siblings = self._check_verify_inputs(node, reduced, meta)
+            self._check_inputs(coord, meta, siblings, value)
             self.stats.verify_ops += 1
 
             slots = self._alloc(1, RegisterState.RT, meta.uid)
-            root = fold_path(node.value.value, node.coord, siblings, self.config)[-1]
+            root = fold_path(value, coord, siblings, self.config)[-1]
             self._free_regs(slots)
             if root != register.value.value:
                 logger.debug("cmd %d verification error", seq)
@@ -614,6 +628,18 @@ class TreeTpm:
     def tree_node_verify(
         self, coord: str, reduced: ReducedTree, trace: Trace, root_reg: int
     ) -> NodeVerifyBreach | None:
+        """``NodeRef`` form of ``tree_node_verify_raw``."""
+        check_coord(coord)
+        if not is_trace_of(trace, coord):
+            raise ValueError("trace coordinates do not match the node coordinate")
+        if not is_reduced_of(reduced, coord):
+            raise ValueError("reduced tree coordinates do not match the node coordinate")
+        siblings, values = [ref.value.value for ref in reduced], [ref.value.value for ref in trace]
+        return self.tree_node_verify_raw(coord, siblings, values, root_reg)
+
+    def tree_node_verify_raw(
+        self, coord: str, siblings: Sequence[bytes | None], trace: Sequence[bytes | None], root_reg: int
+    ) -> NodeVerifyBreach | None:
         """Top-down diagnostic walk; returns the first breached level, or None when intact.
 
         Level k is intact when its trace value extended with its sibling
@@ -622,19 +648,15 @@ class TreeTpm:
         with self._lock:
             self._command("tree_node_verify", root_reg, coord)
             register, meta = self._root(root_reg)
-            check_coord(coord, meta.depth)
-            if not is_trace_of(trace, coord):
-                raise ValueError("trace coordinates do not match the node coordinate")
-            if not is_reduced_of(reduced, coord):
-                raise ValueError("reduced tree coordinates do not match the node coordinate")
-            check = self.config.check
-            pairs = [(check(sibling.value).value, check(ref.value).value) for sibling, ref in zip(reduced, trace)]
+            self._check_inputs(coord, meta, siblings, *trace)
+            if len(trace) != len(coord):
+                raise ValueError(f"need {len(coord)} trace values, got {len(trace)}")
             self.stats.verify_ops += 1
 
             # the device walks with three working registers: parent, trace value, computed value
             slots = self._alloc(3, RegisterState.RT, meta.uid)
             new, parent = self.config.hasher, register.value.value
-            for k, (bit, (sibling, value)) in enumerate(zip(coord, pairs), 1):
+            for k, (bit, sibling, value) in enumerate(zip(coord, siblings, trace), 1):
                 computed = extend_raw(new, sibling, value) if bit == "1" else extend_raw(new, value, sibling)
                 if computed != parent:
                     self._free_regs(slots)
@@ -681,14 +703,21 @@ class TreeTpm:
     def tree_node_verified_update(
         self, node: NodeRef, new_value: Digest, reduced: ReducedTree, root_reg: int
     ) -> UpdateResult | None:
+        """``NodeRef`` form of ``tree_node_verified_update_raw``."""
+        siblings = _raw_siblings(node.coord, reduced)
+        return self.tree_node_verified_update_raw(node.coord, node.value.value, siblings, new_value.value, root_reg)
+
+    def tree_node_verified_update_raw(
+        self, coord: str, value: bytes | None, siblings: Sequence[bytes | None], new_value: bytes | None, root_reg: int
+    ) -> UpdateResult | None:
         """Atomic verify-then-update; on a verification miss or a refused input nothing changes."""
         with self._lock:
-            loaded = self._verify_load(node, reduced, root_reg, new_value)
+            loaded = self._verify_load(coord, value, siblings, root_reg, new_value)
             if loaded is None:
                 return None
             # the session was armed just now under the same lock
-            self._command("reduced_tree_update", root_reg, node.coord)
-            return self._update(loaded[1], new_value.value)
+            self._command("reduced_tree_update", root_reg, coord)
+            return self._update(loaded[1], new_value)
 
     # -- quoting -----------------------------------------------------------
 
@@ -696,7 +725,7 @@ class TreeTpm:
         """Sign the canonical payload of one quote variant."""
         self.stats.quote_ops += 1
         signature = sign(aik, tag, quote_payload(tag, node_value, **fields), nonce)
-        return Quote(tag, node_value, nonce, signature, aik.public.fingerprint(), **fields)
+        return Quote(tag, node_value, nonce, signature, signature.signer, **fields)
 
     def quote_register(self, reg: int, aik: SigningKey, nonce: bytes) -> Quote:
         """Plain register quote (tag QUOT); no tree-state gate."""
@@ -713,6 +742,20 @@ class TreeTpm:
         nonce: bytes,
         include_coord: bool = False,
     ) -> Quote | None:
+        """``NodeRef`` form of ``tree_node_quote_raw``."""
+        siblings = _raw_siblings(node.coord, reduced)
+        return self.tree_node_quote_raw(node.coord, node.value.value, siblings, root_reg, aik, nonce, include_coord)
+
+    def tree_node_quote_raw(
+        self,
+        coord: str,
+        value: bytes | None,
+        siblings: Sequence[bytes | None],
+        root_reg: int,
+        aik: SigningKey,
+        nonce: bytes,
+        include_coord: bool = False,
+    ) -> Quote | None:
         """Verify a node internally, then attest to its value (tag TREEQUOT).
 
         Only complete (CR) roots may be quoted. The coordinate enters the
@@ -720,15 +763,14 @@ class TreeTpm:
         alone.
         """
         with self._lock:
-            self._command("tree_node_quote", root_reg, node.coord)
+            self._command("tree_node_quote", root_reg, coord)
             _, meta = self._root(root_reg, complete=True)
-            if self.reduced_tree_verify(node, reduced, root_reg) is None:
+            if self.reduced_tree_verify_raw(coord, value, siblings, root_reg) is None:
                 return None
             # keep a copy of the verified value in a scratch register, quote that
             (copy_slot,) = self._alloc(1, RegisterState.RT, meta.uid)
-            self._regs[copy_slot].value = node.value
-            coord = node.coord if include_coord else None
-            quote = self._quote(aik, nonce, "TREEQUOT", self._regs[copy_slot].value, coord=coord)
+            self._regs[copy_slot].value = as_digest(value)
+            quote = self._quote(aik, nonce, "TREEQUOT", self._regs[copy_slot].value, coord=coord if include_coord else None)
             self._free_regs([copy_slot])
             return quote
 

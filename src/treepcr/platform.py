@@ -3,12 +3,15 @@
 A Platform owns one measurement tree: the device holds the protected
 root, the platform mirrors the log, applies the node deltas returned by
 tree commands, and speaks for the device in the certification protocol
-(it holds the attestation identity key).
+(it holds the attestation identity key). Its reads go through
+``tree.read_path`` into the device's raw commands (``*_raw``): no public
+``NodeRef`` list is built per sibling, and the device checks every value
+the mirror hands it, since the mirror is untrusted state.
 """
 
 from __future__ import annotations
 
-from .crypto import NIL, Digest, HashConfig, SHA1, SigningKey
+from .crypto import NIL, Digest, HashConfig, SHA1, SigningKey, as_digest
 from .engine import (
     NodeVerifyBreach,
     Quote,
@@ -25,6 +28,7 @@ from .tree import (
     Trace,
     build_reduced_tree,
     build_trace,
+    read_path,
 )
 
 
@@ -88,11 +92,13 @@ class Platform:
 
     def verify_node(self, coord: str) -> bool:
         """Check the stored node value against the protected root."""
-        return self.engine.reduced_tree_verify(self.node(coord), self.reduced(coord), self.root_reg) is not None
+        value, siblings, _ = read_path(self.tree, coord)
+        return self.engine.reduced_tree_verify_raw(coord, value, siblings, self.root_reg) is not None
 
     def diagnose_node(self, coord: str) -> NodeVerifyBreach | None:
         """Top-down walk reporting the first breached level, None when intact."""
-        return self.engine.tree_node_verify(coord, self.reduced(coord), self.trace(coord), self.root_reg)
+        _, siblings, trace = read_path(self.tree, coord)
+        return self.engine.tree_node_verify_raw(coord, siblings, trace, self.root_reg)
 
     # -- update ------------------------------------------------------------
 
@@ -102,7 +108,8 @@ class Platform:
         Everything strictly below the replaced node loses its protection
         and is blanked in the mirror.
         """
-        result = self.engine.tree_node_verified_update(self.node(coord), new_value, self.reduced(coord), self.root_reg)
+        value, siblings, _ = read_path(self.tree, coord)
+        result = self.engine.tree_node_verified_update_raw(coord, value, siblings, new_value.value, self.root_reg)
         if result is not None:
             self.apply_update(coord, result.trace)
         return result
@@ -123,15 +130,16 @@ class Platform:
             if self.root_state() is not RegisterState.CR:
                 raise StateViolation("root quotes for certification require a complete (CR) root")
             return self.engine.quote_register(self.root_reg, self.aik, nonce)
-        return self.engine.tree_node_quote(
-            self.node(coord), self.reduced(coord), self.root_reg, self.aik, nonce,
-            include_coord=include_coord,
-        )
+        value, siblings, _ = read_path(self.tree, coord)
+        return self.engine.tree_node_quote_raw(coord, value, siblings, self.root_reg, self.aik, nonce, include_coord)
 
     def quote_reduced(self, coord: str, nonce: bytes) -> Quote:
         """Reduced-tree quote: signs node, siblings, and root for receiver-side folding."""
-        values = [ref.value for ref in self.reduced(coord)] if coord else []
-        node_value = self.tree.node(coord) if coord else self.root()
+        if coord:
+            value, siblings, _ = read_path(self.tree, coord)
+            node_value, values = as_digest(value), [as_digest(sibling) for sibling in siblings]
+        else:
+            node_value, values = self.root(), []
         return self.engine.reduced_tree_quote(node_value, values, coord, self.root_reg, self.aik, nonce)
 
     # -- persistence (process-spanning emulation) ---------------------------

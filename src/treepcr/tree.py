@@ -20,6 +20,9 @@ coordinate-string text shown in the README and does not depend on this
 layout. ``fold_path`` is the one fold of a node through its sibling list
 (its Merkle audit path), on raw values: device verify, update and node
 quotes, and the receiver's refold of a reduced quote, all run it.
+``read_path`` is the one read of a node's path: its raw value, siblings and
+trace by index. The platform hands those raw values to the device;
+``build_reduced_tree``/``build_trace`` wrap them as public ``NodeRef`` lists.
 """
 
 from __future__ import annotations
@@ -230,21 +233,34 @@ def _coord_rows(depth: int) -> Iterator[list[Coord]]:
         yield row
 
 
+def read_path(tree: SmlTree, coord: Coord) -> tuple[bytes | None, list[bytes | None], list[bytes | None]]:
+    """A node's raw value, sibling values and trace values as stored (level 1 first).
+
+    The one read of a node's path through the log: ``build_reduced_tree`` and
+    ``build_trace`` wrap it, and the platform hands its values straight to
+    the device's raw commands. Nothing read here is checked: the log is
+    untrusted state, and the device checks what it is given.
+    """
+    level, index = tree._locate(coord)
+    siblings, trace = [], []
+    for row in tree._levels[level:0:-1]:
+        siblings.append(row[index ^ 1])
+        trace.append(row[index])
+        index >>= 1
+    siblings.reverse()
+    trace.reverse()
+    return trace[-1], siblings, trace
+
+
 def build_trace(tree: SmlTree, coord: Coord) -> Trace:
     """Trace of a node as stored in the log (level 1 first)."""
-    level, index = tree._locate(coord)
-    levels = tree._levels
-    return [NodeRef(coord[:k], as_digest(levels[k][index >> (level - k)])) for k in range(1, level + 1)]
+    return [NodeRef(coord[:k], as_digest(value)) for k, value in enumerate(read_path(tree, coord)[2], 1)]
 
 
 def build_reduced_tree(tree: SmlTree, coord: Coord) -> ReducedTree:
     """Sibling list of a node as stored in the log (level 1 first)."""
-    level, index = tree._locate(coord)
-    levels = tree._levels
-    return [
-        NodeRef(coord[: k - 1] + _FLIP[coord[k - 1]], as_digest(levels[k][(index >> (level - k)) ^ 1]))
-        for k in range(1, level + 1)
-    ]
+    siblings = read_path(tree, coord)[1]
+    return [NodeRef(coord[:k] + _FLIP[bit], as_digest(value)) for k, (bit, value) in enumerate(zip(coord, siblings))]
 
 
 def recompute_root(tree: SmlTree) -> Digest:

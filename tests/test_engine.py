@@ -714,15 +714,39 @@ def _load(p, coord):
     return p.engine.reduced_tree_verify_load(p.node(coord), p.reduced(coord), p.root_reg)
 
 
+def _calls(run, *args):
+    """Calls per function name while ``run(*args)`` runs under cProfile."""
+    profile = cProfile.Profile()
+    profile.runcall(run, *args)
+    return {name: n for (_, _, name), (_, n, *_rest) in pstats.Stats(profile).stats.items()}
+
+
 def test_verified_update_checks_each_input_once(rng):
     depth = 8
     platform = make_platform(random_leaves(rng, depth, count=1 << depth), depth)
-    profile = cProfile.Profile()
-    profile.runcall(platform.verified_update, "01101001", SHA1.measure(b"new"))
-    calls = {name: n for (_, _, name), (_, n, *_rest) in pstats.Stats(profile).stats.items()}
-    assert calls.get("check_coord", 0) <= 4  # platform node and siblings, device, mirror blanking
-    assert calls.get("check", 0) == depth + 2  # node, siblings and new value, at the device
+    calls = _calls(platform.verified_update, "01101001", SHA1.measure(b"new"))
+    assert calls.get("check_coord", 0) <= 4  # platform read, device, its sibling coordinates, mirror blanking
+    assert calls.get("check_raw", 0) == depth + 2  # node, siblings and new value, at the device
     assert "set_node" not in calls and "extend" not in calls and "chiral_extend" not in calls
+
+
+@pytest.mark.parametrize(
+    "read, inputs",
+    [
+        ("verify_node", lambda depth: depth + 1),  # node and siblings
+        ("quote_node", lambda depth: depth + 1),  # node and siblings, through the verify core
+        ("diagnose_node", lambda depth: 2 * depth),  # siblings and trace, the node last in the trace
+    ],
+)
+def test_platform_read_checks_each_input_once(rng, read, inputs):
+    depth = 8
+    platform = make_platform(random_leaves(rng, depth, count=1 << depth), depth)
+    args = ("01101001", b"n") if read == "quote_node" else ("01101001",)
+    calls = _calls(getattr(platform, read), *args)
+    assert calls.get("check_coord", 0) == 2  # platform read, device
+    assert calls.get("check_raw", 0) == inputs(depth)  # at the device
+    assert calls.get("as_digest", 0) <= 1  # no public value per sibling: at most the quoted node's
+    assert not {"build_reduced_tree", "build_trace", "check"} & calls.keys()
 
 
 #: (command, coordinate, RT registers it needs, a run that is truthy on success)
