@@ -134,11 +134,10 @@ class HashConfig:
             raise ValueError(f"order bit must be 0 or 1, got {order_bit!r}")
         return self.extend(x, y) if order_bit in (1, "1") else self.extend(y, x)
 
-    def check_raw(self, value: bytes | None) -> bytes | None:
+    def check_raw(self, value: bytes | None) -> None:
         """The one length rule: a raw value is None (nil) or exactly ``size`` bytes."""
         if value is not None and len(value) != self.size:
             raise ValueError(f"digest has {len(value)} bytes, expected {self.size} for {self.algorithm}")
-        return value
 
     def check(self, digest: Digest) -> Digest:
         """``check_raw`` on a public digest, returning it unchanged."""

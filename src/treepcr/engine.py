@@ -7,6 +7,14 @@ device model gives it. Verify, update and node quotes share one fold
 (``tree.fold_path``); all commands share one root gate, quote signer and
 session digest, run under exclusive access, return verification misses
 as results and raise state and session violations as errors.
+
+Each verify-family command has one core on raw values (``*_raw``: the
+node's coordinate, its raw value and raw siblings, and any raw new value).
+The core counts the command, gates the root, checks the coordinate against
+the tree, the sibling count and each input's length once, allocates the
+command's RT registers and folds. The public ``NodeRef`` form of each
+command is an adapter: it checks that the sibling and trace coordinates
+belong to the node and hands the raw values to the same core.
 """
 
 from __future__ import annotations
