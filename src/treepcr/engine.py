@@ -8,13 +8,20 @@ device model gives it. Verify, update and node quotes share one fold
 session digest, run under exclusive access, return verification misses
 as results and raise state and session violations as errors.
 
-Each verify-family command has one core on raw values (``*_raw``: the
-node's coordinate, its raw value and raw siblings, and any raw new value).
-The core counts the command, gates the root, checks the coordinate against
-the tree, the sibling count and each input's length once, allocates the
-command's RT registers and folds. The public ``NodeRef`` form of each
+Registers hold raw values (``bytes``, None for nil); ``register_value``,
+quotes and command results wrap them as public ``Digest`` values. Each
+write command and each verify-family command has one core on raw values
+(``*_raw``). ``tree_extend_raw`` counts the command, gates the root and the
+leaf count, checks the measurement once, carries it through the
+build-scratch registers with ``extend_raw`` and returns the raw log delta.
+The verify-family cores take the node's coordinate, its raw value and raw
+siblings, and any raw new value; each counts the command, gates the root,
+checks the coordinate against the tree, the sibling count and each input's
+length once, allocates the command's RT registers and folds. The verified
+update core returns its raw fold path. The public ``NodeRef`` form of each
 command is an adapter: it checks that the sibling and trace coordinates
-belong to the node and hands the raw values to the same core.
+belong to the node, hands the raw values to the same core and wraps what
+the core returns.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .crypto import (
-    NIL,
     Digest,
     HashConfig,
     SHA1,
@@ -86,9 +92,9 @@ class RegisterState(enum.Enum):
     RT = "RT"  # loaded reduced-tree entry awaiting update
 
 
-@dataclass
+@dataclass(slots=True)
 class Register:
-    value: Digest = NIL
+    value: bytes | None = None
     state: RegisterState = RegisterState.FREE
     tree_uid: str | None = None
     coord: str | None = None
@@ -144,8 +150,18 @@ class VerifyLoadResult:
 
 @dataclass
 class UpdateResult:
-    trace: Trace
-    root: Digest
+    """A consumed update: the node's coordinate and the raw fold path of its new value."""
+
+    coord: str
+    path: list[bytes | None]  # the new node value first, the new root last
+
+    @property
+    def trace(self) -> Trace:
+        return _trace(self.coord, self.path)
+
+    @property
+    def root(self) -> Digest:
+        return as_digest(self.path[-1])
 
 
 @dataclass
@@ -275,6 +291,11 @@ def refold_reduced_quote(quote: Quote, config: HashConfig) -> bool:
     return fold_to_root(quote.node_value, coord, quote.reduced_values, config) == quote.root_value
 
 
+def _trace(coord: str, path: list[bytes | None]) -> Trace:
+    """Top-down trace of a node from its raw ``fold_path`` (node first, root last)."""
+    return [NodeRef(coord[:k], as_digest(value)) for k, value in enumerate(reversed(path[:-1]), 1)]
+
+
 def _raw_siblings(coord: str, reduced: ReducedTree) -> list[bytes | None]:
     """The raw values of a public sibling list whose coordinates are ``coord``'s siblings."""
     if not is_reduced_of(reduced, check_coord(coord)):
@@ -323,7 +344,7 @@ class TreeTpm:
         return len(self._regs)
 
     def register_value(self, reg: int) -> Digest:
-        return self._reg(reg).value
+        return as_digest(self._reg(reg).value)
 
     def register_state(self, reg: int) -> RegisterState:
         return self._reg(reg).state
@@ -353,15 +374,19 @@ class TreeTpm:
         if len(chosen) < count:
             raise InsufficientRegisters(f"need {count} free registers, have {len(chosen)}")
         for i in chosen:
-            self._regs[i] = Register(NIL, state, tree_uid, None)
+            register = self._regs[i]
+            register.value, register.state, register.tree_uid, register.coord = None, state, tree_uid, None
         return chosen
 
     def _free_regs(self, regs: Sequence[int]) -> None:
         for i in regs:
-            self._regs[i] = Register()
+            register = self._regs[i]
+            register.value, register.state, register.tree_uid, register.coord = None, RegisterState.FREE, None, None
 
     def _touch(self, regs: Sequence[int]) -> None:
         """Invalidate (and drop) armed sessions bound to any mutated register."""
+        if not self._sessions:
+            return
         touched = set(regs)
         for session in list(self._sessions.values()):
             if touched & session.bound_registers():
@@ -390,7 +415,7 @@ class TreeTpm:
             raise ValueError("tree depth must be at least 1")
         with self._lock:
             self._command("create_tree", depth)
-            return self._seat(depth, NIL, RegisterState.AR, 0, [NIL] * depth)
+            return self._seat(depth, None, RegisterState.AR, 0, [None] * depth)
 
     def restore_tree(
         self,
@@ -417,25 +442,41 @@ class TreeTpm:
             self.config.check(value)
         with self._lock:
             self._command("restore_tree", depth, state, leaf_count)
-            return self._seat(depth, root_value, RegisterState[state], leaf_count, frontier)
+            raw_frontier = [value.value for value in frontier]
+            return self._seat(depth, root_value.value, RegisterState[state], leaf_count, raw_frontier)
 
-    def _seat(self, depth: int, root_value: Digest, state: RegisterState, leaf_count: int, frontier: list) -> int:
-        """Seat a tree from checked inputs: the root plus one build-scratch
+    def _seat(
+        self, depth: int, root_value: bytes | None, state: RegisterState, leaf_count: int, frontier: list
+    ) -> int:
+        """Seat a tree from checked raw inputs: the root plus one build-scratch
         register per frontier value, all allocated before any is written."""
         uid = f"tree-{next(self._tree_counter)}"
         root_reg, *tb = self._alloc(1 + len(frontier), RegisterState.TB, uid)
-        self._regs[root_reg] = Register(root_value, state, uid, "")
+        root = self._regs[root_reg]
+        root.value, root.state, root.coord = root_value, state, ""
         for slot, value in zip(tb, frontier):
             self._regs[slot].value = value
         self._trees[uid] = _TreeMeta(uid, depth, root_reg, tb, leaf_count, state is RegisterState.CR)
         return root_reg
 
     def tree_extend(self, reg: int, measurement: Digest) -> TreeExtendResult:
-        """Place a measurement at the next free leaf and refold the path to the root.
+        """``NodeRef`` form of ``tree_extend_raw``: the delta by coordinate, and the new root."""
+        with self._lock:
+            index, path, closed = self.tree_extend_raw(reg, measurement.value)
+            root = self._regs[reg].value
+        depth = len(path)
+        coord = format(index, f"0{depth}b")
+        nodes = [NodeRef(coord[: depth - height], as_digest(value)) for height, value in enumerate(path)]
+        return TreeExtendResult(index, coord, nodes, as_digest(root), closed)
+
+    def tree_extend_raw(self, reg: int, measurement: bytes | None) -> tuple[int, list[bytes | None], bool]:
+        """Place a raw measurement at the next free leaf and refold the path to the root.
 
         Completed sibling pairs are merged leftward through the scratch
         registers like binary-counter carries; the root register always
-        holds the root of the current nil-padded tree.
+        holds the root of the current nil-padded tree. Returns the leaf
+        index, the raw log delta (the leaf first, then its recomputed
+        ancestors up to level 1) and whether the tree closed.
         """
         with self._lock:
             self._command("tree_extend", reg)
@@ -447,17 +488,16 @@ class TreeTpm:
             meta = self._meta_for_root(reg)
             if meta.leaf_count >= (1 << meta.depth):
                 raise TreeComplete("tree complete")
-            self.config.check(measurement)
+            self.config.check_raw(measurement)
 
             index, depth, tb = meta.leaf_count, meta.depth, meta.tb_regs
-            coord = format(index, f"0{depth}b")
             new, regs = self.config.hasher, self._regs
-            nodes, value, touched = [], measurement, [reg]
+            path, value, touched = [], measurement, [reg]
             for height in range(depth):
-                nodes.append(NodeRef(coord[: depth - height], value))
+                path.append(value)
                 if (index >> height) & 1:
                     # left sibling subtree is complete: merge it in
-                    value = as_digest(extend_raw(new, regs[tb[height]].value.value, value.value))
+                    value = extend_raw(new, regs[tb[height]].value, value)
                 elif len(touched) == 1:
                     # the lowest open height keeps the value for a later merge
                     regs[tb[height]].value = value
@@ -471,7 +511,7 @@ class TreeTpm:
             if closed:
                 self._close(meta)
             self._touch(touched)
-            return TreeExtendResult(index, coord, nodes, value, closed)
+            return index, path, closed
 
     def _close(self, meta: _TreeMeta) -> None:
         self._regs[meta.root_reg].state = RegisterState.CR
@@ -498,7 +538,7 @@ class TreeTpm:
             register = self._reg(reg)
             if register.state is not RegisterState.FREE:
                 raise StateViolation(f"register {reg} is {register.state.value}, not free scratch")
-            register.value = NIL
+            register.value = None
             self._touch([reg])
 
     def extend_register(self, reg: int, measurement: Digest) -> Digest:
@@ -508,9 +548,9 @@ class TreeTpm:
             register = self._reg(reg)
             if register.state is not RegisterState.FREE:
                 raise StateViolation(f"register {reg} is {register.state.value}, not free scratch")
-            register.value = self.config.extend(register.value, self.config.check(measurement))
+            register.value = extend_raw(self.config.hasher, register.value, self.config.check(measurement).value)
             self._touch([reg])
-            return register.value
+            return as_digest(register.value)
 
     def release(self, reg: int) -> None:
         """Authorised release of a managed register back to the free pool.
@@ -549,11 +589,6 @@ class TreeTpm:
     def _session_auth(nonce: bytes) -> bytes:
         return hashlib.sha256(pack_fields(b"session", nonce)).digest()
 
-    @staticmethod
-    def _trace(coord: str, path: list[bytes | None]) -> Trace:
-        """Top-down trace of a node from its raw ``fold_path`` (node first, root last)."""
-        return [NodeRef(coord[:k], as_digest(value)) for k, value in enumerate(reversed(path[:-1]), 1)]
-
     def _check_inputs(self, coord: str, meta: _TreeMeta, siblings: Sequence, *values: bytes | None) -> None:
         """One pass over a command's raw inputs: the coordinate against the tree,
         the sibling count, and the length of each value and sibling, once."""
@@ -577,7 +612,7 @@ class TreeTpm:
         siblings = _raw_siblings(node.coord, reduced)
         with self._lock:
             loaded = self._verify_load(node.coord, node.value.value, siblings, root_reg)
-            return None if loaded is None else VerifyLoadResult(self._trace(node.coord, loaded[0]), loaded[1])
+            return None if loaded is None else VerifyLoadResult(_trace(node.coord, loaded[0]), loaded[1])
 
     def _verify_load(self, coord: str, value: bytes | None, siblings: Sequence, root_reg: int, *new: bytes | None):
         """The raw load, checking ``new`` with the inputs; (raw fold path, session) or None."""
@@ -591,8 +626,8 @@ class TreeTpm:
         path = fold_path(value, coord, siblings, self.config)
         # the buffers hold the siblings, the staging register the folded root
         for slot, slot_coord, slot_value in zip(slots, [*reduced_coords(coord), coord], [*siblings, path[-1]]):
-            self._regs[slot].coord, self._regs[slot].value = slot_coord, as_digest(slot_value)
-        if path[-1] != register.value.value:
+            self._regs[slot].coord, self._regs[slot].value = slot_coord, slot_value
+        if path[-1] != register.value:
             self._free_regs(slots)
             logger.debug("cmd %d verification error", seq)
             return None
@@ -620,18 +655,22 @@ class TreeTpm:
     ) -> Digest | None:
         """Single-register verification: streams the siblings, arms nothing."""
         with self._lock:
-            seq = self._command("reduced_tree_verify", root_reg, coord)
-            register, meta = self._root(root_reg)
-            self._check_inputs(coord, meta, siblings, value)
-            self.stats.verify_ops += 1
+            return as_digest(self._regs[root_reg].value) if self._verify(coord, value, siblings, root_reg) else None
 
-            slots = self._alloc(1, RegisterState.RT, meta.uid)
-            root = fold_path(value, coord, siblings, self.config)[-1]
-            self._free_regs(slots)
-            if root != register.value.value:
-                logger.debug("cmd %d verification error", seq)
-                return None
-            return register.value
+    def _verify(self, coord: str, value: bytes | None, siblings: Sequence[bytes | None], root_reg: int) -> bool:
+        """The raw verify; wraps nothing, so a node quote verifies through it too."""
+        seq = self._command("reduced_tree_verify", root_reg, coord)
+        register, meta = self._root(root_reg)
+        self._check_inputs(coord, meta, siblings, value)
+        self.stats.verify_ops += 1
+
+        slots = self._alloc(1, RegisterState.RT, meta.uid)
+        root = fold_path(value, coord, siblings, self.config)[-1]
+        self._free_regs(slots)
+        if root != register.value:
+            logger.debug("cmd %d verification error", seq)
+            return False
+        return True
 
     def tree_node_verify(
         self, coord: str, reduced: ReducedTree, trace: Trace, root_reg: int
@@ -663,7 +702,7 @@ class TreeTpm:
 
             # the device walks with three working registers: parent, trace value, computed value
             slots = self._alloc(3, RegisterState.RT, meta.uid)
-            new, parent = self.config.hasher, register.value.value
+            new, parent = self.config.hasher, register.value
             for k, (bit, sibling, value) in enumerate(zip(coord, siblings, trace), 1):
                 computed = extend_raw(new, sibling, value) if bit == "1" else extend_raw(new, value, sibling)
                 if computed != parent:
@@ -688,15 +727,14 @@ class TreeTpm:
             for slot in (*session.buffer_regs, session.staging_reg):
                 if self._regs[slot].state is not RegisterState.RT:
                     raise BindingViolation(f"bound register {slot} left the RT state")
-            return self._update(session, self.config.check(new_value).value)
+            return UpdateResult(session.coord, self._update(session, self.config.check(new_value).value))
 
-    def _update(self, session: UpdateSession, new_value: bytes | None) -> UpdateResult:
-        """Consume a checked, armed session with a checked raw value."""
+    def _update(self, session: UpdateSession, new_value: bytes | None) -> list[bytes | None]:
+        """Consume a checked, armed session with a checked raw value; the raw fold path."""
         self.stats.update_ops += 1
-        siblings = [self._regs[slot].value.value for slot in session.buffer_regs]
+        siblings = [self._regs[slot].value for slot in session.buffer_regs]
         path = fold_path(new_value, session.coord, siblings, self.config)
-        register = self._regs[session.root_reg]
-        register.value = as_digest(path[-1])
+        self._regs[session.root_reg].value = path[-1]
         session.status = SessionStatus.CONSUMED
         del self._sessions[session.session_id]
         bound = (*session.buffer_regs, session.staging_reg)
@@ -706,19 +744,24 @@ class TreeTpm:
         meta = self._meta_for_root(session.root_reg)
         if not meta.closed:
             self._close(meta)
-        return UpdateResult(self._trace(session.coord, path), register.value)
+        return path
 
     def tree_node_verified_update(
         self, node: NodeRef, new_value: Digest, reduced: ReducedTree, root_reg: int
     ) -> UpdateResult | None:
         """``NodeRef`` form of ``tree_node_verified_update_raw``."""
         siblings = _raw_siblings(node.coord, reduced)
-        return self.tree_node_verified_update_raw(node.coord, node.value.value, siblings, new_value.value, root_reg)
+        path = self.tree_node_verified_update_raw(node.coord, node.value.value, siblings, new_value.value, root_reg)
+        return None if path is None else UpdateResult(node.coord, path)
 
     def tree_node_verified_update_raw(
         self, coord: str, value: bytes | None, siblings: Sequence[bytes | None], new_value: bytes | None, root_reg: int
-    ) -> UpdateResult | None:
-        """Atomic verify-then-update; on a verification miss or a refused input nothing changes."""
+    ) -> list[bytes | None] | None:
+        """Atomic verify-then-update; on a verification miss or a refused input nothing changes.
+
+        Returns the raw fold path of the new value (the node first, the new
+        root last), or None on a verification miss.
+        """
         with self._lock:
             loaded = self._verify_load(coord, value, siblings, root_reg, new_value)
             if loaded is None:
@@ -739,7 +782,7 @@ class TreeTpm:
         """Plain register quote (tag QUOT); no tree-state gate."""
         with self._lock:
             self._command("quote_register", reg)
-            return self._quote(aik, nonce, "QUOT", self._reg(reg).value)
+            return self._quote(aik, nonce, "QUOT", as_digest(self._reg(reg).value))
 
     def tree_node_quote(
         self,
@@ -773,12 +816,14 @@ class TreeTpm:
         with self._lock:
             self._command("tree_node_quote", root_reg, coord)
             _, meta = self._root(root_reg, complete=True)
-            if self.reduced_tree_verify_raw(coord, value, siblings, root_reg) is None:
+            if not self._verify(coord, value, siblings, root_reg):
                 return None
             # keep a copy of the verified value in a scratch register, quote that
             (copy_slot,) = self._alloc(1, RegisterState.RT, meta.uid)
-            self._regs[copy_slot].value = as_digest(value)
-            quote = self._quote(aik, nonce, "TREEQUOT", self._regs[copy_slot].value, coord=coord if include_coord else None)
+            self._regs[copy_slot].value = value
+            quote = self._quote(
+                aik, nonce, "TREEQUOT", as_digest(self._regs[copy_slot].value), coord=coord if include_coord else None
+            )
             self._free_regs([copy_slot])
             return quote
 
@@ -807,5 +852,5 @@ class TreeTpm:
                 self.config.check(value)
             return self._quote(
                 aik, nonce, "REDTREEQUOT", node_value, coord=coord,
-                reduced_values=tuple(reduced_values), root_register=root_reg, root_value=register.value,
+                reduced_values=tuple(reduced_values), root_register=root_reg, root_value=as_digest(register.value),
             )

@@ -3,10 +3,12 @@
 A Platform owns one measurement tree: the device holds the protected
 root, the platform mirrors the log, applies the node deltas returned by
 tree commands, and speaks for the device in the certification protocol
-(it holds the attestation identity key). Its reads go through
-``tree.read_path`` into the device's raw commands (``*_raw``): no public
-``NodeRef`` list is built per sibling, and the device checks every value
-the mirror hands it, since the mirror is untrusted state.
+(it holds the attestation identity key). It talks to the device's raw
+commands (``*_raw``) both ways: its reads go through ``tree.read_path``
+into the raw cores, and an extend or a verified update writes the raw path
+the device returns with one ``SmlTree.set_path``. No public ``NodeRef`` or
+``Digest`` is built per path node, and the device checks every value the
+mirror hands it, since the mirror is untrusted state.
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ class Platform:
 
     def extend(self, measurement: Digest) -> Digest:
         """Feed one measurement to the device and mirror the returned delta."""
-        result = self.engine.tree_extend(self.root_reg, measurement)
-        self.tree.set_path(self.depth, result.index, [ref.value.value for ref in result.nodes])
-        self.tree.leaf_count = result.index + 1
-        return result.root
+        index, path, _ = self.engine.tree_extend_raw(self.root_reg, measurement.value)
+        self.tree.set_path(self.tree.depth, index, path)
+        self.tree.leaf_count = index + 1
+        return self.root()
 
     def extend_data(self, data: bytes) -> Digest:
         return self.extend(self.config.measure(data))
@@ -109,15 +111,20 @@ class Platform:
         and is blanked in the mirror.
         """
         value, siblings, _ = read_path(self.tree, coord)
-        result = self.engine.tree_node_verified_update_raw(coord, value, siblings, new_value.value, self.root_reg)
-        if result is not None:
-            self.apply_update(coord, result.trace)
-        return result
+        path = self.engine.tree_node_verified_update_raw(coord, value, siblings, new_value.value, self.root_reg)
+        if path is None:
+            return None
+        self._mirror_update(coord, path[:-1])
+        return UpdateResult(coord, path)
 
     def apply_update(self, coord: str, trace: Trace) -> None:
         """Mirror maintenance after an update at coord: its trace, and blanks below."""
+        self._mirror_update(coord, [ref.value.value for ref in reversed(trace)])
+
+    def _mirror_update(self, coord: str, path: list[bytes | None]) -> None:
+        """Blank below coord, then write its raw path up from the node (root excluded)."""
         self.tree.blank_below(coord)
-        self.tree.set_path(len(coord), int(coord, 2), [ref.value.value for ref in reversed(trace)])
+        self.tree.set_path(len(coord), int(coord, 2), path)
 
     # -- quoting -----------------------------------------------------------
 

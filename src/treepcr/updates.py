@@ -89,12 +89,12 @@ def scratch_fold(subset: IntrinsicSubset, engine: TreeTpm) -> Digest:
     span = subset.span_root
     span_depth = max(len(m.coord) for m in subset.members) - len(span)
     positions = {
-        int((m.coord[len(span):]).ljust(span_depth, "0"), 2): m.value for m in subset.members
+        int((m.coord[len(span):]).ljust(span_depth, "0"), 2): m.value.value for m in subset.members
     }
     scratch = engine.create_tree(span_depth)
     try:
         for index in range(max(positions) + 1):
-            engine.tree_extend(scratch, positions.get(index, NIL))
+            engine.tree_extend_raw(scratch, positions.get(index))
         return engine.register_value(scratch)
     finally:
         engine.release(scratch)

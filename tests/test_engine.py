@@ -660,6 +660,7 @@ _NODE_AND_SIBLINGS = ("node", "sibling-0", "sibling-1", "sibling-2")
 #: (command, digest positions it takes, a run given the platform, its armed session and the inputs)
 INPUT_CHECKS = [
     ("tree_extend", ("measurement",), lambda p, s, bad, n, r, t: p.engine.tree_extend(p.root_reg, bad)),
+    ("tree_extend_raw", ("measurement",), lambda p, s, bad, n, r, t: p.engine.tree_extend_raw(p.root_reg, bad.value)),
     ("extend_register", ("measurement",),
      lambda p, s, bad, n, r, t: p.engine.extend_register(_free_register(p.engine), bad)),
     ("reduced_tree_verify", _NODE_AND_SIBLINGS, lambda p, s, bad, n, r, t: p.engine.reduced_tree_verify(n, r, p.root_reg)),
@@ -693,7 +694,8 @@ class TestInputChecks:
     )
     def test_wrong_length_digest_refused_and_nothing_changes(self, rng, command, position, run, bad):
         # an open tree for the extend, a closed one for everything else
-        platform = make_platform(random_leaves(rng, 3, count=5 if command == "tree_extend" else 8), 3)
+        open_tree = command in ("tree_extend", "tree_extend_raw")
+        platform = make_platform(random_leaves(rng, 3, count=5 if open_tree else 8), 3)
         engine = platform.engine
         session = None
         if command == "reduced_tree_update":
@@ -728,6 +730,28 @@ def test_verified_update_checks_each_input_once(rng):
     assert calls.get("check_coord", 0) <= 4  # platform read, device, its sibling coordinates, mirror blanking
     assert calls.get("check_raw", 0) == depth + 2  # node, siblings and new value, at the device
     assert "set_node" not in calls and "extend" not in calls and "chiral_extend" not in calls
+    assert calls.get("as_digest", 0) <= 1  # the registers and the written path stay raw
+    assert "_trace" not in calls  # the public trace is built only when read
+
+
+def _noderefs_built(monkeypatch, run, *args):
+    """``NodeRef`` objects built while ``run(*args)`` runs."""
+    built, new = [], NodeRef.__new__
+    monkeypatch.setattr(NodeRef, "__new__", staticmethod(lambda cls, *fields: built.append(fields) or new(cls, *fields)))
+    run(*args)
+    monkeypatch.undo()
+    return len(built)
+
+
+def test_platform_extend_checks_its_input_once(rng, monkeypatch):
+    depth = 16
+    platform = make_platform(random_leaves(rng, depth, count=11), depth)
+    calls = _calls(platform.extend, Digest(random_digest(rng)))
+    assert calls.get("check_raw", 0) == 1  # the measurement, at the device
+    assert calls.get("as_digest", 0) <= 1  # the returned root only
+    assert not {"set_node", "check", "check_coord", "chiral_extend"} & calls.keys()
+    assert _noderefs_built(monkeypatch, platform.extend, Digest(random_digest(rng))) == 0
+    assert _noderefs_built(monkeypatch, platform.engine.tree_extend, platform.root_reg, NIL) == depth  # the adapter
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import cProfile
 import itertools
+import pstats
 import random
 
 import pytest
@@ -164,6 +166,18 @@ class TestScratchFold:
         a, b = fresh_pair(rng, 3)
         b.tree.set_node("10", Digest(random_digest(rng)))  # outside the span
         assert scratch_fold(subset, a.engine) == scratch_fold(subset, b.engine)
+
+    def test_fold_extends_raw_and_reads_the_scratch_register_once(self, rng):
+        values = [Digest(random_digest(rng)) for _ in range(8)]
+        subset = IntrinsicSubset("1", tuple(NodeRef("1" + format(i, "03b"), v) for i, v in enumerate(values)))
+        platform = make_platform(random_leaves(rng, 4, count=16), 4)
+        profile = cProfile.Profile()
+        folded = profile.runcall(scratch_fold, subset, platform.engine)
+        calls = {name: n for (_, _, name), (_, n, *_rest) in pstats.Stats(profile).stats.items()}
+        assert calls["tree_extend_raw"] == 8 and "tree_extend" not in calls
+        assert calls["register_value"] == 1
+        _, root = build_full_tree([v.value for v in values], 3)
+        assert folded == Digest(root)
 
 
 class TestNaiveApply:
