@@ -442,12 +442,9 @@ class TreeTpm:
             self.config.check(value)
         with self._lock:
             self._command("restore_tree", depth, state, leaf_count)
-            raw_frontier = [value.value for value in frontier]
-            return self._seat(depth, root_value.value, RegisterState[state], leaf_count, raw_frontier)
+            return self._seat(depth, root_value.value, RegisterState[state], leaf_count, [v.value for v in frontier])
 
-    def _seat(
-        self, depth: int, root_value: bytes | None, state: RegisterState, leaf_count: int, frontier: list
-    ) -> int:
+    def _seat(self, depth: int, root_value: bytes | None, state: RegisterState, leaf_count: int, frontier: list) -> int:
         """Seat a tree from checked raw inputs: the root plus one build-scratch
         register per frontier value, all allocated before any is written."""
         uid = f"tree-{next(self._tree_counter)}"

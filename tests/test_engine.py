@@ -660,7 +660,8 @@ _NODE_AND_SIBLINGS = ("node", "sibling-0", "sibling-1", "sibling-2")
 #: (command, digest positions it takes, a run given the platform, its armed session and the inputs)
 INPUT_CHECKS = [
     ("tree_extend", ("measurement",), lambda p, s, bad, n, r, t: p.engine.tree_extend(p.root_reg, bad)),
-    ("tree_extend_raw", ("measurement",), lambda p, s, bad, n, r, t: p.engine.tree_extend_raw(p.root_reg, bad.value)),
+    ("tree_extend_raw", ("measurement",),
+     lambda p, s, bad, n, r, t: p.engine.tree_extend_raw(p.root_reg, bad.value)),
     ("extend_register", ("measurement",),
      lambda p, s, bad, n, r, t: p.engine.extend_register(_free_register(p.engine), bad)),
     ("reduced_tree_verify", _NODE_AND_SIBLINGS, lambda p, s, bad, n, r, t: p.engine.reduced_tree_verify(n, r, p.root_reg)),
@@ -737,7 +738,8 @@ def test_verified_update_checks_each_input_once(rng):
 def _noderefs_built(monkeypatch, run, *args):
     """``NodeRef`` objects built while ``run(*args)`` runs."""
     built, new = [], NodeRef.__new__
-    monkeypatch.setattr(NodeRef, "__new__", staticmethod(lambda cls, *fields: built.append(fields) or new(cls, *fields)))
+    counted = staticmethod(lambda cls, *fields: built.append(fields) or new(cls, *fields))
+    monkeypatch.setattr(NodeRef, "__new__", counted)
     run(*args)
     monkeypatch.undo()
     return len(built)
