@@ -411,8 +411,6 @@ def build_attestation_package(
     quote: Quote,
     aik_pub: VerifyingKey,
     node_value: Digest | None = None,
-    include_value: bool = True,
-    coord: str | None = None,
     aik_cert: AikCertificate | None = None,
     subtree: bytes | None = None,
     aux: tuple[RefValueCert, ...] = (),
@@ -423,8 +421,7 @@ def build_attestation_package(
     return AttestationPackage(
         quote=quote,
         aik_pub=aik_pub,
-        node_value=node_value if include_value else None,
-        coord=coord,
+        node_value=node_value,
         aik_cert=aik_cert,
         subtree=subtree,
         aux=aux,

@@ -87,15 +87,12 @@ def digest_to_wire(digest: Digest) -> bytes:
     return b"\x00" if digest.value is None else b"\x01" + digest.value
 
 
-def digest_from_wire(data: bytes, size: int | None = None) -> Digest:
+def digest_from_wire(data: bytes) -> Digest:
     if data[:1] == b"\x00" and len(data) == 1:
         return NIL
     if data[:1] != b"\x01":
         raise EncodingError("bad digest wire tag")
-    raw = data[1:]
-    if size is not None and len(raw) != size:
-        raise EncodingError(f"digest has {len(raw)} bytes, expected {size}")
-    return Digest(raw)
+    return Digest(data[1:])
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,12 @@ class DiscoveryData:
 
     @classmethod
     def from_text(cls, text: str, config: HashConfig = SHA1) -> "DiscoveryData":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-        if not lines or lines[0] != "DISCOVERY v1":
+        numbered = ((lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), start=1))
+        lines = [(lineno, ln) for lineno, ln in numbered if ln and not ln.startswith("#")]
+        if not lines or lines[0][1] != "DISCOVERY v1":
             raise ValueError("discovery data: bad header")
         values, leaves, conds = set(), set(), []
-        for lineno, line in enumerate(lines[1:], start=2):
+        for lineno, line in lines[1:]:
             parts = line.split()
             try:
                 if parts[0] == "value" and len(parts) == 2:

@@ -14,14 +14,17 @@ write command and each verify-family command has one core on raw values
 (``*_raw``). ``tree_extend_raw`` counts the command, gates the root and the
 leaf count, checks the measurement once, carries it through the
 build-scratch registers with ``extend_raw`` and returns the raw log delta.
+The extend that fills the last leaf closes the tree (AR -> CR), as does a
+verified update; the root register's state is the one record of that.
 The verify-family cores take the node's coordinate, its raw value and raw
 siblings, and any raw new value; each counts the command, gates the root,
 checks the coordinate against the tree, the sibling count and each input's
-length once, allocates the command's RT registers and folds. The verified
-update core returns its raw fold path. The public ``NodeRef`` form of each
-command is an adapter: it checks that the sibling and trace coordinates
-belong to the node, hands the raw values to the same core and wraps what
-the core returns.
+length once, allocates the command's RT registers and folds.
+``reduced_tree_verify_raw`` returns a bool (a node quote verifies through
+it); the verified update core returns its raw fold path. The public
+``NodeRef`` form of each command is an adapter: it checks that the sibling
+and trace coordinates belong to the node, hands the raw values to the same
+core and wraps what the core returns.
 """
 
 from __future__ import annotations
@@ -310,22 +313,15 @@ class _TreeMeta:
     root_reg: int
     tb_regs: list[int]
     leaf_count: int = 0
-    closed: bool = False
 
 
 class TreeTpm:
     """Register file plus tree commands, serialized as one logical device."""
 
-    def __init__(
-        self,
-        register_count: int = 24,
-        config: HashConfig = SHA1,
-        auto_close: bool = True,
-    ) -> None:
+    def __init__(self, register_count: int = 24, config: HashConfig = SHA1) -> None:
         if register_count < 2:
             raise ValueError("need at least two registers")
         self.config = config
-        self.auto_close = auto_close
         self.stats = EngineStats()
         self._regs = [Register() for _ in range(register_count)]
         self._trees: dict[str, _TreeMeta] = {}
@@ -431,6 +427,8 @@ class TreeTpm:
         value. An AR tree additionally needs its build frontier, one value
         per completed-subtree height, so later extends can continue.
         """
+        if depth < 1:
+            raise ValueError("tree depth must be at least 1")
         if state not in ("AR", "CR"):
             raise ValueError(f"root state must be AR or CR, got {state!r}")
         if not 0 <= leaf_count <= (1 << depth):
@@ -453,7 +451,7 @@ class TreeTpm:
         root.value, root.state, root.coord = root_value, state, ""
         for slot, value in zip(tb, frontier):
             self._regs[slot].value = value
-        self._trees[uid] = _TreeMeta(uid, depth, root_reg, tb, leaf_count, state is RegisterState.CR)
+        self._trees[uid] = _TreeMeta(uid, depth, root_reg, tb, leaf_count)
         return root_reg
 
     def tree_extend(self, reg: int, measurement: Digest) -> TreeExtendResult:
@@ -504,7 +502,7 @@ class TreeTpm:
             meta.leaf_count += 1
             self.stats.extend_ops += 1
 
-            closed = meta.leaf_count == (1 << depth) and self.auto_close
+            closed = meta.leaf_count == (1 << depth)
             if closed:
                 self._close(meta)
             self._touch(touched)
@@ -515,7 +513,6 @@ class TreeTpm:
         self._free_regs(meta.tb_regs)
         self._touch([meta.root_reg, *meta.tb_regs])
         meta.tb_regs = []
-        meta.closed = True
 
     def close_tree(self, reg: int) -> None:
         """AR -> CR; the tree is sealed against further extends."""
@@ -644,30 +641,30 @@ class TreeTpm:
         return path, session
 
     def reduced_tree_verify(self, node: NodeRef, reduced: ReducedTree, root_reg: int) -> Digest | None:
-        """``NodeRef`` form of ``reduced_tree_verify_raw``."""
-        return self.reduced_tree_verify_raw(node.coord, node.value.value, _raw_siblings(node.coord, reduced), root_reg)
+        """``NodeRef`` form of ``reduced_tree_verify_raw``: the root value on a match, else None."""
+        siblings = _raw_siblings(node.coord, reduced)
+        with self._lock:
+            if not self.reduced_tree_verify_raw(node.coord, node.value.value, siblings, root_reg):
+                return None
+            return as_digest(self._regs[root_reg].value)
 
     def reduced_tree_verify_raw(
         self, coord: str, value: bytes | None, siblings: Sequence[bytes | None], root_reg: int
-    ) -> Digest | None:
-        """Single-register verification: streams the siblings, arms nothing."""
+    ) -> bool:
+        """Single-register verification: streams the siblings, arms nothing, wraps nothing."""
         with self._lock:
-            return as_digest(self._regs[root_reg].value) if self._verify(coord, value, siblings, root_reg) else None
+            seq = self._command("reduced_tree_verify", root_reg, coord)
+            register, meta = self._root(root_reg)
+            self._check_inputs(coord, meta, siblings, value)
+            self.stats.verify_ops += 1
 
-    def _verify(self, coord: str, value: bytes | None, siblings: Sequence[bytes | None], root_reg: int) -> bool:
-        """The raw verify; wraps nothing, so a node quote verifies through it too."""
-        seq = self._command("reduced_tree_verify", root_reg, coord)
-        register, meta = self._root(root_reg)
-        self._check_inputs(coord, meta, siblings, value)
-        self.stats.verify_ops += 1
-
-        slots = self._alloc(1, RegisterState.RT, meta.uid)
-        root = fold_path(value, coord, siblings, self.config)[-1]
-        self._free_regs(slots)
-        if root != register.value:
-            logger.debug("cmd %d verification error", seq)
-            return False
-        return True
+            slots = self._alloc(1, RegisterState.RT, meta.uid)
+            root = fold_path(value, coord, siblings, self.config)[-1]
+            self._free_regs(slots)
+            if root != register.value:
+                logger.debug("cmd %d verification error", seq)
+                return False
+            return True
 
     def tree_node_verify(
         self, coord: str, reduced: ReducedTree, trace: Trace, root_reg: int
@@ -738,9 +735,8 @@ class TreeTpm:
         self._free_regs(bound)
         self._touch([session.root_reg, *bound])
         # an updated tree can no longer be extended consistently: seal it
-        meta = self._meta_for_root(session.root_reg)
-        if not meta.closed:
-            self._close(meta)
+        if self._regs[session.root_reg].state is not RegisterState.CR:
+            self._close(self._meta_for_root(session.root_reg))
         return path
 
     def tree_node_verified_update(
@@ -813,7 +809,7 @@ class TreeTpm:
         with self._lock:
             self._command("tree_node_quote", root_reg, coord)
             _, meta = self._root(root_reg, complete=True)
-            if not self._verify(coord, value, siblings, root_reg):
+            if not self.reduced_tree_verify_raw(coord, value, siblings, root_reg):
                 return None
             # keep a copy of the verified value in a scratch register, quote that
             (copy_slot,) = self._alloc(1, RegisterState.RT, meta.uid)

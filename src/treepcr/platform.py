@@ -1,14 +1,16 @@
 """The trusted software stack side of the device.
 
-A Platform owns one measurement tree: the device holds the protected
-root, the platform mirrors the log, applies the node deltas returned by
-tree commands, and speaks for the device in the certification protocol
-(it holds the attestation identity key). It talks to the device's raw
-commands (``*_raw``) both ways: its reads go through ``tree.read_path``
-into the raw cores, and an extend or a verified update writes the raw path
-the device returns with one ``SmlTree.set_path``. No public ``NodeRef`` or
-``Digest`` is built per path node, and the device checks every value the
-mirror hands it, since the mirror is untrusted state.
+A Platform owns one measurement tree and builds the device that holds its
+protected root (a fresh ``TreeTpm``, also when restoring a snapshot); the
+device closes the tree when its last leaf is extended. The platform mirrors
+the log, applies the node deltas returned by tree commands, and speaks for
+the device in the certification protocol (it holds the attestation
+identity key). It talks to the device's raw commands (``*_raw``) both ways:
+its reads go through ``tree.read_path`` into the raw cores, and an extend
+or a verified update writes the raw path the device returns with one
+``SmlTree.set_path``. No public ``NodeRef`` or ``Digest`` is built per path
+node, and the device checks every value the mirror hands it, since the
+mirror is untrusted state.
 """
 
 from __future__ import annotations
@@ -41,15 +43,11 @@ class Platform:
         self,
         depth: int,
         config: HashConfig = SHA1,
-        engine: TreeTpm | None = None,
         register_count: int = 24,
-        auto_close: bool = True,
         aik: SigningKey | None = None,
         aik_cert=None,
     ) -> None:
-        self.engine = engine or TreeTpm(register_count, config, auto_close=auto_close)
-        if self.engine.config != config:
-            raise ValueError("engine hash configuration differs from the platform's")
+        self.engine = TreeTpm(register_count, config)
         self.config = config
         self.root_reg = self.engine.create_tree(depth)
         self.tree = SmlTree(depth, config, root_register=self.root_reg)
@@ -95,7 +93,7 @@ class Platform:
     def verify_node(self, coord: str) -> bool:
         """Check the stored node value against the protected root."""
         value, siblings, _ = read_path(self.tree, coord)
-        return self.engine.reduced_tree_verify_raw(coord, value, siblings, self.root_reg) is not None
+        return self.engine.reduced_tree_verify_raw(coord, value, siblings, self.root_reg)
 
     def diagnose_node(self, coord: str) -> NodeVerifyBreach | None:
         """Top-down walk reporting the first breached level, None when intact."""
@@ -158,15 +156,7 @@ class Platform:
         return SmlDocument(self.tree.copy(), self.root(), state.value)
 
     @classmethod
-    def from_document(
-        cls,
-        doc: SmlDocument,
-        engine: TreeTpm | None = None,
-        register_count: int = 24,
-        auto_close: bool = True,
-        aik: SigningKey | None = None,
-        aik_cert=None,
-    ) -> "Platform":
+    def from_document(cls, doc: SmlDocument, aik: SigningKey | None = None) -> "Platform":
         """Rebuild a platform from a snapshot; the register snapshot is authoritative.
 
         The root value comes from the document header, never from refolding
@@ -176,9 +166,7 @@ class Platform:
             raise ValueError("document carries no root register snapshot")
         tree = doc.tree
         self = cls.__new__(cls)
-        self.engine = engine or TreeTpm(register_count, tree.config, auto_close=auto_close)
-        if self.engine.config != tree.config:
-            raise ValueError("engine hash configuration differs from the document's")
+        self.engine = TreeTpm(config=tree.config)
         self.config = tree.config
         frontier = _frontier_from_mirror(tree) if doc.root_state == "AR" else []
         self.root_reg = self.engine.restore_tree(
@@ -187,7 +175,7 @@ class Platform:
         self.tree = tree.copy()
         self.tree.root_register = self.root_reg
         self.aik = aik or SigningKey.generate()
-        self.aik_cert = aik_cert
+        self.aik_cert = None
         return self
 
 

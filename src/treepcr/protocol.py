@@ -80,8 +80,6 @@ def certify_subtree(
     sca,
     coord: str,
     layout: str = LAYOUT_FULL,
-    include_value: bool = True,
-    include_coord: bool = False,
     send_aik_cert: bool = False,
     bulk: bool = False,
 ) -> SubtreeCredential:
@@ -92,7 +90,7 @@ def certify_subtree(
     network service.
     """
     nonce = sca.issue_nonce()
-    quote = platform.quote_node(coord, nonce, include_coord=include_coord)
+    quote = platform.quote_node(coord, nonce)
     if quote is None:
         raise ProtocolError("reject-package", "platform could not verify its own node")
     node_value = platform.tree.node(coord) if coord else platform.root()
@@ -101,8 +99,6 @@ def certify_subtree(
         quote,
         platform.aik.public,
         node_value=node_value,
-        include_value=include_value,
-        coord=coord if include_coord else None,
         aik_cert=platform.aik_cert if send_aik_cert else None,
     )
     outcome = sca.verify_and_issue(package)

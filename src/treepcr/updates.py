@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certification import check_dependency_free
-from .crypto import NIL, Digest
+from .crypto import Digest, extend_raw
 from .engine import TreeTpm
 from .platform import Platform
 from .tree import NodeRef, check_coord
@@ -126,18 +126,18 @@ def apply_update_set_bulk(entries: list[NodeRef], platform: Platform) -> Digest:
 
 
 def _fill_span(platform: Platform, subset: IntrinsicSubset) -> None:
-    """Write member values and refolded inner values below a span root."""
-    tree = platform.tree
-    members = {m.coord: m.value for m in subset.members}
-    deepest = max(len(c) for c in members)
-    for level in range(deepest, len(subset.span_root), -1):
-        for coord in sorted(c for c in members if len(c) == level):
-            tree.set_node(coord, members[coord])
-            parent = coord[:-1]
-            if parent != subset.span_root and parent not in members:
-                members[parent] = tree.config.extend(
-                    members.get(parent + "0", NIL), members.get(parent + "1", NIL)
-                )
+    """Write raw member values and refolded inner values below a span root, by index.
+
+    ``scratch_fold`` has had the device check every member value already.
+    """
+    tree, new, top = platform.tree, platform.config.hasher, len(subset.span_root)
+    values = {(len(m.coord), int(m.coord, 2)): m.value.value for m in subset.members}
+    for level in range(max(level for level, _ in values), top, -1):
+        for index in sorted(i for k, i in values if k == level):
+            tree.set_path(level, index, [values[level, index]])
+            parent = (level - 1, index >> 1)
+            if level - 1 > top and parent not in values:
+                values[parent] = extend_raw(new, values.get((level, index & ~1)), values.get((level, index | 1)))
 
 
 def _check_entries(entries: list[NodeRef], depth: int) -> None:

@@ -214,7 +214,7 @@ class TestScaIssue:
         platform = certified_platform(rng, aik, pca)
         sca = sca_for(platform, "01", "revealed", pca)
         quote = platform.quote_node("01", sca.issue_nonce())
-        package = build_attestation_package(quote, aik.public, include_value=False)
+        package = build_attestation_package(quote, aik.public)
         assert package.node_value is None
         assert sca.verify_and_issue(package).status == OK
 

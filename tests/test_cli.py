@@ -1,6 +1,7 @@
 import hashlib
 import secrets
 import shlex
+from pathlib import Path
 
 import pytest
 
@@ -56,7 +57,7 @@ class TestTreeCommands:
 
     def test_emitted_root_matches_recompute(self, built):
         sml, rec = built
-        doc = parse_sml(open(sml, "rb").read())
+        doc = parse_sml(Path(sml).read_bytes())
         assert recompute_root(doc.tree).to_text() == rec["root"]
         assert doc.root_value.to_text() == rec["root"]
 
@@ -95,7 +96,7 @@ class TestTreeCommands:
 
         _, expected_root = oracle_update(nodes, "01", new_value.value)
         assert rec["root"] == expected_root.hex()
-        doc = parse_sml(open(sml, "rb").read())
+        doc = parse_sml(Path(sml).read_bytes())
         assert doc.root_value.to_text() == rec["root"]
         assert recompute_root(doc.tree) == doc.root_value
 
@@ -125,9 +126,9 @@ class TestQuoteAndKeys:
         assert code == 0 and rec["tag"] == "TREEQUOT"
         from treepcr.engine import Quote, verify_quote
 
-        quote = Quote.from_bytes(open(out, "rb").read())
+        quote = Quote.from_bytes(Path(out).read_bytes())
         assert quote.nonce == bytes.fromhex("00ff")
-        key_obj = SigningKey.from_seed(bytes.fromhex(open(key).read().strip()))
+        key_obj = SigningKey.from_seed(bytes.fromhex(Path(key).read_text().strip()))
         assert verify_quote(quote, key_obj.public)
 
     def test_keygen_seed_is_owner_only(self, tmp_path, capsys):
@@ -158,7 +159,7 @@ class TestQuoteAndKeys:
 class TestDiscoverCli:
     def test_active_and_bottom_up(self, built, tmp_path, capsys, leaves):
         sml, _ = built
-        doc = parse_sml(open(sml, "rb").read())
+        doc = parse_sml(Path(sml).read_bytes())
         dd = tmp_path / "dd.txt"
         dd.write_text(
             "DISCOVERY v1\n"
@@ -179,7 +180,7 @@ class TestProtocolLoopback:
         sml = str(tmp_path / "deep.sml")
         code, _, _ = run(capsys, "tree", "build", measurements, "-d", "3", "-o", sml)
         assert code == 0
-        doc = parse_sml(open(sml, "rb").read())
+        doc = parse_sml(Path(sml).read_bytes())
         policy = PolicyTable()
         policy.add(doc.tree.node("0"), [("function", "cli-module")])
         sca_key = SigningKey.from_seed(b"\x0c" * 32)
@@ -202,7 +203,7 @@ class TestProtocolLoopback:
         )
         assert code == 0 and rec["status"] == "issued" and rec["mode"] == "concealed"
 
-        doc = parse_sml(open(sml, "rb").read())
+        doc = parse_sml(Path(sml).read_bytes())
         assert doc.root_value.to_text() == rec["root"]  # file root matches the record
 
         nonce = secrets.token_bytes(16).hex()

@@ -72,6 +72,13 @@ class TestDiscoveryData:
         with pytest.raises(ValueError, match="line 2"):
             DiscoveryData.from_text("DISCOVERY v1\nvalue zz\n")
 
+    def test_lines_numbered_as_written_and_indented_comments_skipped(self, rng):
+        value = Digest(random_digest(rng))
+        text = f"# discovery data\n\nDISCOVERY v1\n  # indented note\n\nvalue {value.to_text()}\n"
+        assert DiscoveryData.from_text(text) == DiscoveryData(values=frozenset({value}))
+        with pytest.raises(ValueError, match="line 7"):
+            DiscoveryData.from_text(text + "value zz\n")
+
 
 class TestActiveDiscover:
     def test_single_match(self, rng):

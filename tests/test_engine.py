@@ -64,13 +64,16 @@ class TestTreeExtend:
         assert result.root == expected
 
     def test_fifth_extend_tree_complete(self):
-        tpm = TreeTpm(auto_close=False)
-        reg = tpm.create_tree(2)
-        for i in range(4):
-            tpm.tree_extend(reg, SHA1.measure(bytes([i])))
+        tpm = TreeTpm()
+        ms = [SHA1.measure(bytes([i])) for i in range(4)]
+        root = SHA1.extend(SHA1.extend(ms[0], ms[1]), SHA1.extend(ms[2], ms[3]))
+        # a full tree whose root is still AR: only a restored snapshot seats one
+        reg = tpm.restore_tree(2, root, "AR", 4, [NIL, NIL])
         assert tpm.register_state(reg) is RegisterState.AR
+        before = tpm.vdat(), [tpm.register_value(r) for r in range(tpm.register_count)]
         with pytest.raises(TreeComplete, match="tree complete"):
             tpm.tree_extend(reg, SHA1.measure(b"overflow"))
+        assert (tpm.vdat(), [tpm.register_value(r) for r in range(tpm.register_count)]) == before
 
     def test_auto_close_on_full(self):
         tpm = TreeTpm()
@@ -872,16 +875,17 @@ class TestPersistence:
         assert tpm.vdat() == {} and tpm.free_register_count() == 6
 
     @pytest.mark.parametrize(
-        "root_value, frontier",
+        "depth, root_value, frontier",
         [
-            pytest.param(SHA1.measure(b"root"), [NIL], id="short-frontier"),
-            pytest.param(Digest(b"\x05" * 5), [NIL, NIL], id="5-byte-root"),
+            pytest.param(2, SHA1.measure(b"root"), [NIL], id="short-frontier"),
+            pytest.param(2, Digest(b"\x05" * 5), [NIL, NIL], id="5-byte-root"),
+            pytest.param(0, SHA1.measure(b"root"), [], id="depth-0"),
         ],
     )
-    def test_refused_restore_strands_no_register(self, root_value, frontier):
+    def test_refused_restore_strands_no_register(self, depth, root_value, frontier):
         tpm = TreeTpm(6)
         with pytest.raises(ValueError):
-            tpm.restore_tree(2, root_value, "AR", 1, frontier)
+            tpm.restore_tree(depth, root_value, "AR", 1, frontier)
         assert tpm.vdat() == {} and tpm.free_register_count() == 6
 
     def test_restored_register_is_authoritative(self, rng):

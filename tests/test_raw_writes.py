@@ -39,22 +39,21 @@ def write_cases(draw):
     """A tree's shape, its leaves (some nil, some past capacity) and one node to update."""
     depth = draw(st.integers(min_value=1, max_value=8))
     config = draw(st.sampled_from([SHA1, SHA256]))
-    auto_close = draw(st.booleans())
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     # up to one leaf more than the tree holds, to reach the full tree's refusal
     count = draw(st.integers(min_value=0, max_value=(1 << depth) + 1))
     leaves = [NIL if rng.random() < 0.2 else Digest(random_digest(rng, config.algorithm)) for _ in range(count)]
     level = draw(st.integers(min_value=1, max_value=depth))
     coord = "".join(draw(st.lists(st.sampled_from("01"), min_size=level, max_size=level)))
-    return depth, config, auto_close, leaves, coord
+    return depth, config, leaves, coord
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=write_cases())
 def test_platform_write_matches_the_noderef_command(case):
-    depth, config, auto_close, leaves, coord = case
+    depth, config, leaves, coord = case
     raw, public = (
-        Platform(depth, config=config, auto_close=auto_close, aik=SigningKey.from_seed(AIK_SEED)) for _ in range(2)
+        Platform(depth, config=config, aik=SigningKey.from_seed(AIK_SEED)) for _ in range(2)
     )
     for leaf in leaves:
         got = _extend_outcome(Platform.extend, raw, leaf)

@@ -2,6 +2,7 @@ import cProfile
 import itertools
 import pstats
 import random
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +259,19 @@ class TestBulkEquivalence:
         apply_update_set_bulk(list(entries), bulk)
         assert bulk.engine.stats.verify_ops == naive.engine.stats.verify_ops
         assert bulk.engine.stats.extend_ops == naive.engine.stats.extend_ops
+        assert serialize_sml(naive.tree) == serialize_sml(bulk.tree)
+
+    def test_span_fill_writes_raw_values_by_index(self, rng):
+        # eight leaves under "01" (inner values at two levels) plus one naive entry
+        entries = [NodeRef("01" + format(i, "03b"), Digest(random_digest(rng))) for i in range(8)]
+        entries.append(NodeRef("10", Digest(random_digest(rng))))
+        naive, bulk = fresh_pair(rng, 5)
+        apply_update_set(list(entries), naive)
+        profile = cProfile.Profile()
+        profile.runcall(apply_update_set_bulk, list(entries), bulk)
+        calls = {(Path(path).name, name): n for (path, _, name), (_, n, *_rest) in pstats.Stats(profile).stats.items()}
+        assert calls["updates.py", "_fill_span"] == 1
+        assert ("tree.py", "set_node") not in calls and ("crypto.py", "extend") not in calls
         assert serialize_sml(naive.tree) == serialize_sml(bulk.tree)
 
     def test_contiguous_leaf_block_is_one_verified_update(self, rng):
