@@ -24,7 +24,7 @@ from .crypto import (
     sign,
     verify,
 )
-from .encoding import EncodingError, decode_text, pack_fields, pack_u32, unpack_fields, unpack_u32
+from .encoding import EncodingError, decode_text, pack_fields, pack_u32, unpack_fields, unpack_u32, untag
 from .engine import Quote, verify_quote
 from .tree import NodeRef, check_coord, leq
 
@@ -65,6 +65,8 @@ class Manifest:
         count = unpack_u32(fields[2])
         if len(fields) != 6 + 2 * count:
             raise EncodingError("manifest property count mismatch")
+        if fields[5 + 2 * count] not in (b"\x00", b"\x01"):
+            raise EncodingError("bad manifest aik-checked flag")
         props = tuple(
             (decode_text(fields[3 + 2 * i], "utf-8"), decode_text(fields[4 + 2 * i], "utf-8"))
             for i in range(count)
@@ -186,7 +188,7 @@ class SubtreeCertificate:
             mode=decode_text(mode),
             issuer=decode_text(issuer, "utf-8"),
             signature=Signature(sig, signer),
-            bind=None if not bind else bind[1:],
+            bind=untag(bind, b"b"),
         )
 
     def describe(self) -> str:
@@ -304,11 +306,12 @@ class AttestationPackage:
         magic, quote, pub, value, coord, cert, subtree, aux = unpack_fields(data, count=8)
         if magic != b"Q1":
             raise EncodingError("bad attestation package encoding")
+        coord = untag(coord, b"c")
         return cls(
             quote=Quote.from_bytes(quote),
             aik_pub=VerifyingKey(pub),
             node_value=None if not value else digest_from_wire(value),
-            coord=None if not coord else decode_text(coord[1:]),
+            coord=None if coord is None else decode_text(coord),
             aik_cert=None if not cert else AikCertificate.from_bytes(cert),
             subtree=None if not subtree else subtree,
             aux=tuple(RefValueCert.from_bytes(f) for f in unpack_fields(aux)),
@@ -339,7 +342,7 @@ class IssuePackage:
         return cls(
             manifest=Manifest.from_bytes(manifest),
             certificate=SubtreeCertificate.from_bytes(cert),
-            bind=None if not bind else bind[1:],
+            bind=untag(bind, b"b"),
         )
 
 
@@ -347,7 +350,6 @@ class IssuePackage:
 
 LAYOUT_EMPTY = "empty"
 LAYOUT_FULL = "full"
-LAYOUTS = (LAYOUT_EMPTY, LAYOUT_FULL)
 
 
 def check_dependency_free(entries: list[NodeRef]) -> list[NodeRef]:

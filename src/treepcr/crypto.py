@@ -88,10 +88,12 @@ def digest_to_wire(digest: Digest) -> bytes:
 
 
 def digest_from_wire(data: bytes) -> Digest:
-    if data[:1] == b"\x00" and len(data) == 1:
+    if data == b"\x00":
         return NIL
     if data[:1] != b"\x01":
         raise EncodingError("bad digest wire tag")
+    if len(data) == 1:
+        raise EncodingError("tagged digest is empty")
     return Digest(data[1:])
 
 
@@ -192,9 +194,6 @@ class SigningKey:
     def seed(self) -> bytes:
         return self._private.private_bytes_raw()
 
-    def sign_raw(self, blob: bytes) -> bytes:
-        return self._private.sign(blob)
-
 
 def _signing_blob(tag: str, payload: bytes, nonce: bytes) -> bytes:
     if tag not in SIGN_TAGS:
@@ -204,7 +203,7 @@ def _signing_blob(tag: str, payload: bytes, nonce: bytes) -> bytes:
 
 def sign(key: SigningKey, tag: str, payload: bytes, nonce: bytes = b"") -> Signature:
     """Sign the canonical (tag, payload, nonce) blob."""
-    return Signature(key.sign_raw(_signing_blob(tag, payload, nonce)), key.fingerprint)
+    return Signature(key._private.sign(_signing_blob(tag, payload, nonce)), key.fingerprint)
 
 
 def verify(key: VerifyingKey, tag: str, payload: bytes, nonce: bytes, signature: Signature) -> bool:

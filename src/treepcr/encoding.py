@@ -24,6 +24,15 @@ def unpack_u32(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
+def untag(field: bytes, tag: bytes) -> bytes | None:
+    """The body of an optional field, None when empty; a present one must start with ``tag``."""
+    if not field:
+        return None
+    if field[:1] != tag:
+        raise EncodingError(f"field tag {field[:1]!r}, expected {tag!r}")
+    return field[1:]
+
+
 def decode_text(field: bytes, encoding: str = "ascii") -> str:
     """Decode a text field of parsed bytes; undecodable input is an EncodingError."""
     try:

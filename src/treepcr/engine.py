@@ -21,10 +21,14 @@ siblings, and any raw new value; each counts the command, gates the root,
 checks the coordinate against the tree, the sibling count and each input's
 length once, allocates the command's RT registers and folds.
 ``reduced_tree_verify_raw`` returns a bool (a node quote verifies through
-it); the verified update core returns its raw fold path. The public
-``NodeRef`` form of each command is an adapter: it checks that the sibling
-and trace coordinates belong to the node, hands the raw values to the same
-core and wraps what the core returns.
+it, as its one root gate); the verified update core returns its raw fold
+path. A command writes a register value or arms a session only when that
+state outlives the command; a register it needs only while it runs is
+allocated and freed. So only ``reduced_tree_verify_load``, whose session a
+later ``reduced_tree_update`` consumes, fills RT registers and arms one.
+The public ``NodeRef`` form of each command is an adapter: it checks that
+the sibling and trace coordinates belong to the node, hands the raw values
+to the same core and wraps what the core returns.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from .crypto import (
     sign,
     verify,
 )
-from .encoding import EncodingError, decode_text, pack_fields, pack_u32, unpack_fields
+from .encoding import EncodingError, decode_text, pack_fields, pack_u32, unpack_fields, unpack_u32, untag
 from .tree import (
     NodeRef,
     ReducedTree,
@@ -127,7 +131,6 @@ class UpdateSession:
     root_reg: int
     buffer_regs: tuple[int, ...]
     staging_reg: int
-    tree_uid: str
     nonce: bytes
     auth: bytes
     status: SessionStatus = SessionStatus.ARMED
@@ -241,15 +244,16 @@ class Quote:
             raise EncodingError("reduced-tree quote lacks its root register or root value")
         if not reduced_tree and (tag not in (b"QUOT", b"TREEQUOT") or reduced or root_reg or root_val):
             raise EncodingError(f"quote tag {tag!r} is unknown or carries reduced-tree fields")
+        coord = untag(coord, b"c")
         return cls(
             tag=decode_text(tag),
             node_value=digest_from_wire(value),
             nonce=nonce,
             signature=Signature(sig, signer),
             aik_id=aik_id,
-            coord=None if not coord else decode_text(coord[1:]),
+            coord=None if coord is None else decode_text(coord),
             reduced_values=tuple(map(digest_from_wire, unpack_fields(reduced))) if reduced_tree else None,
-            root_register=int.from_bytes(root_reg, "big") if reduced_tree else None,
+            root_register=unpack_u32(root_reg) if reduced_tree else None,
             root_value=digest_from_wire(root_val) if reduced_tree else None,
         )
 
@@ -331,7 +335,6 @@ class TreeTpm:
         self._lock = threading.RLock()
         self._session_counter = itertools.count(1)
         self._tree_counter = itertools.count(1)
-        self._command_counter = itertools.count(1)
 
     # -- register file plumbing ------------------------------------------
 
@@ -391,11 +394,10 @@ class TreeTpm:
                 logger.debug("session %d invalidated by registers %s", session.session_id, sorted(touched))
 
     def _command(self, name: str, *detail: object) -> int:
-        seq = next(self._command_counter)
         self.stats.commands += 1
         if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("cmd %d %s %s", seq, name, " ".join(str(d) for d in detail))
-        return seq
+            logger.debug("cmd %d %s %s", self.stats.commands, name, " ".join(str(d) for d in detail))
+        return self.stats.commands
 
     def _meta_for_root(self, reg: int) -> _TreeMeta:
         register = self._reg(reg)
@@ -425,7 +427,9 @@ class TreeTpm:
 
         The register snapshot, not the log, is authoritative for the root
         value. An AR tree additionally needs its build frontier, one value
-        per completed-subtree height, so later extends can continue.
+        per completed-subtree height, so later extends can continue; the
+        frontier of an open one must fold to the root, since those extends
+        fold it in.
         """
         if depth < 1:
             raise ValueError("tree depth must be at least 1")
@@ -438,6 +442,13 @@ class TreeTpm:
             raise ValueError(f"need {depth} frontier values, got {len(frontier)}")
         for value in (root_value, *frontier):
             self.config.check(value)
+        if frontier and leaf_count < (1 << depth):
+            folded = None  # the completed subtrees at the set bits of the leaf count, lowest first
+            for height, value in enumerate(frontier):
+                if (leaf_count >> height) & 1:
+                    folded = extend_raw(self.config.hasher, value.value, folded)
+            if folded != root_value.value:
+                raise ValueError("build frontier does not fold to the root value")
         with self._lock:
             self._command("restore_tree", depth, state, leaf_count)
             return self._seat(depth, root_value.value, RegisterState[state], leaf_count, [v.value for v in frontier])
@@ -603,42 +614,38 @@ class TreeTpm:
         a root mismatch everything is released and None is returned (a
         verification miss is a result, not an error).
         """
-        siblings = _raw_siblings(node.coord, reduced)
+        coord, siblings = node.coord, _raw_siblings(node.coord, reduced)
         with self._lock:
-            loaded = self._verify_load(node.coord, node.value.value, siblings, root_reg)
-            return None if loaded is None else VerifyLoadResult(_trace(node.coord, loaded[0]), loaded[1])
+            verified = self._verify_load(coord, node.value.value, siblings, root_reg)
+            if verified is None:
+                return None
+            slots, path = verified
+            # the registers and the session outlive this command: the buffers
+            # hold the siblings, the staging register the folded root
+            for slot, slot_coord, slot_value in zip(slots, [*reduced_coords(coord), coord], [*siblings, path[-1]]):
+                self._regs[slot].coord, self._regs[slot].value = slot_coord, slot_value
+            session_id = next(self._session_counter)
+            nonce = pack_u32(self.stats.commands) + pack_u32(session_id)
+            session = UpdateSession(
+                session_id, coord, root_reg, tuple(slots[:-1]), slots[-1], nonce, self._session_auth(nonce)
+            )
+            self._sessions[session_id] = session
+            return VerifyLoadResult(_trace(coord, path), session)
 
     def _verify_load(self, coord: str, value: bytes | None, siblings: Sequence, root_reg: int, *new: bytes | None):
-        """The raw load, checking ``new`` with the inputs; (raw fold path, session) or None."""
+        """The load's verify core, checking ``new`` with the inputs: (its RT registers, raw fold path) or None."""
         seq = self._command("reduced_tree_verify_load", root_reg, coord)
         register, meta = self._root(root_reg)
         self._check_inputs(coord, meta, siblings, value, *new)
-        level = len(coord)
         self.stats.verify_ops += 1
 
-        slots = self._alloc(level + 1, RegisterState.RT, meta.uid)
+        slots = self._alloc(len(coord) + 1, RegisterState.RT, meta.uid)
         path = fold_path(value, coord, siblings, self.config)
-        # the buffers hold the siblings, the staging register the folded root
-        for slot, slot_coord, slot_value in zip(slots, [*reduced_coords(coord), coord], [*siblings, path[-1]]):
-            self._regs[slot].coord, self._regs[slot].value = slot_coord, slot_value
         if path[-1] != register.value:
             self._free_regs(slots)
             logger.debug("cmd %d verification error", seq)
             return None
-
-        nonce = pack_u32(seq) + pack_u32(next(self._command_counter))
-        session = UpdateSession(
-            session_id=next(self._session_counter),
-            coord=coord,
-            root_reg=root_reg,
-            buffer_regs=tuple(slots[:level]),
-            staging_reg=slots[level],
-            tree_uid=meta.uid,
-            nonce=nonce,
-            auth=self._session_auth(nonce),
-        )
-        self._sessions[session.session_id] = session
-        return path, session
+        return slots, path
 
     def reduced_tree_verify(self, node: NodeRef, reduced: ReducedTree, root_reg: int) -> Digest | None:
         """``NodeRef`` form of ``reduced_tree_verify_raw``: the root value on a match, else None."""
@@ -721,23 +728,23 @@ class TreeTpm:
             for slot in (*session.buffer_regs, session.staging_reg):
                 if self._regs[slot].state is not RegisterState.RT:
                     raise BindingViolation(f"bound register {slot} left the RT state")
-            return UpdateResult(session.coord, self._update(session, self.config.check(new_value).value))
+            new = self.config.check(new_value).value
+            session.status = SessionStatus.CONSUMED
+            del self._sessions[session.session_id]
+            siblings = [self._regs[slot].value for slot in session.buffer_regs]
+            path = fold_path(new, session.coord, siblings, self.config)
+            self._write_root(session.root_reg, (*session.buffer_regs, session.staging_reg), path)
+            return UpdateResult(session.coord, path)
 
-    def _update(self, session: UpdateSession, new_value: bytes | None) -> list[bytes | None]:
-        """Consume a checked, armed session with a checked raw value; the raw fold path."""
+    def _write_root(self, root_reg: int, slots: Sequence[int], path: list[bytes | None]) -> None:
+        """Finish an update: write the new root, free its RT registers, seal the tree."""
         self.stats.update_ops += 1
-        siblings = [self._regs[slot].value for slot in session.buffer_regs]
-        path = fold_path(new_value, session.coord, siblings, self.config)
-        self._regs[session.root_reg].value = path[-1]
-        session.status = SessionStatus.CONSUMED
-        del self._sessions[session.session_id]
-        bound = (*session.buffer_regs, session.staging_reg)
-        self._free_regs(bound)
-        self._touch([session.root_reg, *bound])
+        self._regs[root_reg].value = path[-1]
+        self._free_regs(slots)
+        self._touch([root_reg, *slots])
         # an updated tree can no longer be extended consistently: seal it
-        if self._regs[session.root_reg].state is not RegisterState.CR:
-            self._close(self._meta_for_root(session.root_reg))
-        return path
+        if self._regs[root_reg].state is not RegisterState.CR:
+            self._close(self._meta_for_root(root_reg))
 
     def tree_node_verified_update(
         self, node: NodeRef, new_value: Digest, reduced: ReducedTree, root_reg: int
@@ -756,12 +763,14 @@ class TreeTpm:
         root last), or None on a verification miss.
         """
         with self._lock:
-            loaded = self._verify_load(coord, value, siblings, root_reg, new_value)
-            if loaded is None:
+            verified = self._verify_load(coord, value, siblings, root_reg, new_value)
+            if verified is None:
                 return None
-            # the session was armed just now under the same lock
+            # nothing is loaded: fold the new value through the siblings just checked
             self._command("reduced_tree_update", root_reg, coord)
-            return self._update(loaded[1], new_value)
+            path = fold_path(new_value, coord, siblings, self.config)
+            self._write_root(root_reg, verified[0], path)
+            return path
 
     # -- quoting -----------------------------------------------------------
 
@@ -808,16 +817,16 @@ class TreeTpm:
         """
         with self._lock:
             self._command("tree_node_quote", root_reg, coord)
-            _, meta = self._root(root_reg, complete=True)
+            register = self._reg(root_reg)
+            if register.state is not RegisterState.CR:
+                raise StateViolation("tree quotes require a complete (CR) root")
             if not self.reduced_tree_verify_raw(coord, value, siblings, root_reg):
                 return None
-            # keep a copy of the verified value in a scratch register, quote that
-            (copy_slot,) = self._alloc(1, RegisterState.RT, meta.uid)
-            self._regs[copy_slot].value = value
-            quote = self._quote(
-                aik, nonce, "TREEQUOT", as_digest(self._regs[copy_slot].value), coord=coord if include_coord else None
-            )
-            self._free_regs([copy_slot])
+            # the device model gives the quote one scratch register; the copy it
+            # would hold is the verified input itself, so nothing is written
+            slots = self._alloc(1, RegisterState.RT, register.tree_uid)
+            quote = self._quote(aik, nonce, "TREEQUOT", as_digest(value), coord=coord if include_coord else None)
+            self._free_regs(slots)
             return quote
 
     def reduced_tree_quote(

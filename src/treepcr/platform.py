@@ -10,7 +10,9 @@ its reads go through ``tree.read_path`` into the raw cores, and an extend
 or a verified update writes the raw path the device returns with one
 ``SmlTree.set_path``. No public ``NodeRef`` or ``Digest`` is built per path
 node, and the device checks every value the mirror hands it, since the
-mirror is untrusted state.
+mirror is untrusted state. Each read and write holds the device's lock
+from its first mirror access to its last, so concurrent callers see the
+mirror and the root register change together.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ class Platform:
 
     def extend(self, measurement: Digest) -> Digest:
         """Feed one measurement to the device and mirror the returned delta."""
-        index, path, _ = self.engine.tree_extend_raw(self.root_reg, measurement.value)
-        self.tree.set_path(self.tree.depth, index, path)
-        self.tree.leaf_count = index + 1
-        return self.root()
+        with self.engine._lock:
+            index, path, _ = self.engine.tree_extend_raw(self.root_reg, measurement.value)
+            self.tree.set_path(self.tree.depth, index, path)
+            self.tree.leaf_count = index + 1
+            return self.root()
 
     def extend_data(self, data: bytes) -> Digest:
         return self.extend(self.config.measure(data))
@@ -92,13 +95,15 @@ class Platform:
 
     def verify_node(self, coord: str) -> bool:
         """Check the stored node value against the protected root."""
-        value, siblings, _ = read_path(self.tree, coord)
-        return self.engine.reduced_tree_verify_raw(coord, value, siblings, self.root_reg)
+        with self.engine._lock:
+            value, siblings, _ = read_path(self.tree, coord)
+            return self.engine.reduced_tree_verify_raw(coord, value, siblings, self.root_reg)
 
     def diagnose_node(self, coord: str) -> NodeVerifyBreach | None:
         """Top-down walk reporting the first breached level, None when intact."""
-        _, siblings, trace = read_path(self.tree, coord)
-        return self.engine.tree_node_verify_raw(coord, siblings, trace, self.root_reg)
+        with self.engine._lock:
+            _, siblings, trace = read_path(self.tree, coord)
+            return self.engine.tree_node_verify_raw(coord, siblings, trace, self.root_reg)
 
     # -- update ------------------------------------------------------------
 
@@ -108,11 +113,12 @@ class Platform:
         Everything strictly below the replaced node loses its protection
         and is blanked in the mirror.
         """
-        value, siblings, _ = read_path(self.tree, coord)
-        path = self.engine.tree_node_verified_update_raw(coord, value, siblings, new_value.value, self.root_reg)
-        if path is None:
-            return None
-        self._mirror_update(coord, path[:-1])
+        with self.engine._lock:
+            value, siblings, _ = read_path(self.tree, coord)
+            path = self.engine.tree_node_verified_update_raw(coord, value, siblings, new_value.value, self.root_reg)
+            if path is None:
+                return None
+            self._mirror_update(coord, path[:-1])
         return UpdateResult(coord, path)
 
     def apply_update(self, coord: str, trace: Trace) -> None:
@@ -135,17 +141,21 @@ class Platform:
             if self.root_state() is not RegisterState.CR:
                 raise StateViolation("root quotes for certification require a complete (CR) root")
             return self.engine.quote_register(self.root_reg, self.aik, nonce)
-        value, siblings, _ = read_path(self.tree, coord)
-        return self.engine.tree_node_quote_raw(coord, value, siblings, self.root_reg, self.aik, nonce, include_coord)
+        with self.engine._lock:
+            value, siblings, _ = read_path(self.tree, coord)
+            return self.engine.tree_node_quote_raw(
+                coord, value, siblings, self.root_reg, self.aik, nonce, include_coord
+            )
 
     def quote_reduced(self, coord: str, nonce: bytes) -> Quote:
         """Reduced-tree quote: signs node, siblings, and root for receiver-side folding."""
-        if coord:
-            value, siblings, _ = read_path(self.tree, coord)
-            node_value, values = as_digest(value), [as_digest(sibling) for sibling in siblings]
-        else:
-            node_value, values = self.root(), []
-        return self.engine.reduced_tree_quote(node_value, values, coord, self.root_reg, self.aik, nonce)
+        with self.engine._lock:
+            if coord:
+                value, siblings, _ = read_path(self.tree, coord)
+                node_value, values = as_digest(value), [as_digest(sibling) for sibling in siblings]
+            else:
+                node_value, values = self.root(), []
+            return self.engine.reduced_tree_quote(node_value, values, coord, self.root_reg, self.aik, nonce)
 
     # -- persistence (process-spanning emulation) ---------------------------
 

@@ -382,10 +382,8 @@ def parse_sml(data: bytes) -> SmlDocument:
         raise EncodingError(f"line 1: bad header: {exc}") from exc
     if not 1 <= depth <= MAX_DEPTH:
         raise EncodingError(f"line 1: depth {depth} out of range")
-    tree = SmlTree(depth, config, root_register=root_register)
-    if not 0 <= leaves <= tree.capacity:
+    if not 0 <= leaves <= 1 << depth:
         raise EncodingError(f"line 1: leaf count {leaves} out of range")
-    tree.leaf_count = leaves
 
     root_value: Digest | None = None
     if "root" in fields:
@@ -400,6 +398,9 @@ def parse_sml(data: bytes) -> SmlDocument:
     node_count = (1 << (depth + 1)) - 2
     if len(lines) - 1 != node_count:
         raise EncodingError(f"line {len(lines)}: expected {node_count} node lines, got {len(lines) - 1}")
+    # the header is checked against the lines before the tree is allocated
+    tree = SmlTree(depth, config, root_register=root_register)
+    tree.leaf_count = leaves
     size = config.size
     start = 1  # lines[start] is the first node line of the current level
     for coords, row in zip(_coord_rows(depth), tree._levels[1:]):

@@ -29,7 +29,6 @@ from .engine import Quote, refold_reduced_quote, verify_quote
 BIND_NODE = "node"          # quote covers the certified value itself (reveals it)
 BIND_STAR = "star"          # quote covers extend(m(cert), m(manifest)); value stays hidden
 BIND_BOUND_ROOT = "bound-root"  # quote covers ((m(cert) ⋄ m(manifest)) ⋄ value)
-BINDINGS = (BIND_NODE, BIND_STAR, BIND_BOUND_ROOT)
 
 
 @dataclass

@@ -18,7 +18,7 @@ from typing import Callable
 from .certification import AttestationPackage, IssuePackage
 from .crypto import VerifyingKey, digest_from_wire, digest_to_wire
 from .discovery import DiscoveryData
-from .encoding import EncodingError, decode_text, pack_fields, unpack_fields
+from .encoding import EncodingError, decode_text, pack_fields, unpack_fields, untag
 from .engine import Quote
 from .sca import OK, IssueOutcome, PassiveResult, SubtreeCa, passive_discover
 from .tree import NodeRef, parse_sml
@@ -117,7 +117,8 @@ def pack_passive_result(result: PassiveResult) -> bytes:
 def unpack_passive_result(payload: bytes) -> PassiveResult:
     status, detail, bad, candidates, certs = unpack_fields(payload, count=5)
     result = PassiveResult(decode_text(status), decode_text(detail, "utf-8"))
-    result.inconsistent_coord = None if not bad else decode_text(bad[1:])
+    bad = untag(bad, b"c")
+    result.inconsistent_coord = None if bad is None else decode_text(bad)
     for blob in unpack_fields(candidates):
         coord, value = unpack_fields(blob, count=2)
         result.candidates.append(NodeRef(decode_text(coord), digest_from_wire(value)))
@@ -223,12 +224,11 @@ def start_server(
     sca: SubtreeCa,
     host: str = "127.0.0.1",
     port: int = 0,
-    discovery=None,
     channel_wrapper: ChannelWrapper | None = None,
     issuance_log: str | None = None,
 ) -> tuple[ScaServer, threading.Thread, tuple[str, int]]:
     """Spin up a server thread; returns (server, thread, bound address)."""
-    server = ScaServer((host, port), sca, discovery, channel_wrapper, issuance_log)
+    server = ScaServer((host, port), sca, channel_wrapper=channel_wrapper, issuance_log=issuance_log)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread, server.server_address

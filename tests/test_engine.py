@@ -2,6 +2,8 @@ import cProfile
 import dataclasses
 import pstats
 import random
+import sys
+import threading
 
 import pytest
 
@@ -26,12 +28,16 @@ from treepcr import (
     StateViolation,
     TreeComplete,
     TreeTpm,
+    find_inconsistency,
+    parse_sml,
     recompute_root,
     refold_reduced_quote,
+    serialize_sml,
     verify_quote,
 )
+from treepcr import engine as engine_module
 from treepcr.encoding import EncodingError
-from treepcr.engine import Quote, SessionStatus
+from treepcr.engine import Quote, Register, SessionStatus, UpdateSession
 
 
 def corrupt(value: Digest, rng: random.Random) -> Digest:
@@ -731,11 +737,50 @@ def test_verified_update_checks_each_input_once(rng):
     depth = 8
     platform = make_platform(random_leaves(rng, depth, count=1 << depth), depth)
     calls = _calls(platform.verified_update, "01101001", SHA1.measure(b"new"))
-    assert calls.get("check_coord", 0) <= 4  # platform read, device, its sibling coordinates, mirror blanking
+    assert calls.get("check_coord", 0) == 3  # platform read, device, mirror blanking
     assert calls.get("check_raw", 0) == depth + 2  # node, siblings and new value, at the device
     assert "set_node" not in calls and "extend" not in calls and "chiral_extend" not in calls
     assert calls.get("as_digest", 0) <= 1  # the registers and the written path stay raw
     assert "_trace" not in calls  # the public trace is built only when read
+
+
+def _rt_writes(engine):
+    """Non-nil values and coordinates written into RT registers from now on."""
+    writes = []
+
+    class Spy(Register):
+        __slots__ = ()
+
+        def __setattr__(self, name, value):
+            if name in ("value", "coord") and value is not None and getattr(self, "state", None) is RegisterState.RT:
+                writes.append((name, value))
+            super().__setattr__(name, value)
+
+    engine._regs = [Spy(r.value, r.state, r.tree_uid, r.coord) for r in engine._regs]
+    return writes
+
+
+def test_verified_update_arms_no_session_and_writes_no_rt_register(rng, monkeypatch):
+    depth = 8
+    platform = make_platform(random_leaves(rng, depth, count=1 << depth), depth)
+    sessions = []
+    monkeypatch.setattr(engine_module, "UpdateSession", lambda *a: sessions.append(a) or UpdateSession(*a))
+    writes = _rt_writes(platform.engine)
+    calls = _calls(platform.verified_update, "01101001", SHA1.measure(b"new"))
+    assert not {"_session_auth", "reduced_coords"} & calls.keys()
+    assert sessions == [] and writes == []
+    assert platform.verify_node("01101001") and platform.tree.node("01101001") == SHA1.measure(b"new")
+    # the two-step load keeps both, since a later update consumes them
+    loaded = _load(platform, "0110")
+    assert len(sessions) == 1 and len(writes) == 2 * 5  # four siblings and the staging root: coordinate, value
+    platform.engine.reduced_tree_update(loaded.session, SHA1.measure(b"later"))
+
+
+def test_node_quote_gates_its_root_once(rng):
+    depth = 8
+    platform = make_platform(random_leaves(rng, depth, count=1 << depth), depth)
+    calls = _calls(platform.quote_node, "01101001", b"n")
+    assert calls.get("_root", 0) == 1
 
 
 def _noderefs_built(monkeypatch, run, *args):
@@ -868,6 +913,27 @@ class TestPersistence:
         assert restored.root().value == root
         assert restored.root_state() is RegisterState.CR
 
+    def test_tampered_open_frontier_refused_and_strands_no_register(self, rng):
+        from treepcr import Platform
+        from treepcr.platform import _frontier_from_mirror
+
+        leaves = random_leaves(rng, 3, count=8)
+        first = make_platform(leaves[:5], 3)
+        doc = parse_sml(serialize_sml(first.tree, first.root(), "AR"))
+        doc.tree.set_node("0", Digest(random_digest(rng)))  # a completed left subtree: frontier, not path
+        with pytest.raises(ValueError, match="build frontier does not fold to the root value"):
+            Platform.from_document(doc)
+        tpm = TreeTpm(6)
+        with pytest.raises(ValueError, match="build frontier"):
+            tpm.restore_tree(3, first.root(), "AR", 5, _frontier_from_mirror(doc.tree))
+        assert tpm.vdat() == {} and tpm.free_register_count() == 6
+        # the untampered log restores and extends as before
+        restored = Platform.from_document(parse_sml(serialize_sml(first.tree, first.root(), "AR")))
+        assert restored.verify_node("0")
+        for raw in leaves[5:]:
+            restored.extend(Digest(raw))
+        assert restored.root().value == build_full_tree(leaves, 3)[1]
+
     def test_refused_create_strands_no_register(self):
         tpm = TreeTpm(6)
         with pytest.raises(InsufficientRegisters):
@@ -899,3 +965,57 @@ class TestPersistence:
         assert not restored.verify_node("01")  # tampered node caught
         assert not restored.verify_node("00")  # sibling list includes the tampered value
         assert restored.verify_node("10")  # untouched path still verifies
+
+
+class TestConcurrentCallers:
+    """Concurrent platform callers see the mirror and the root register change together."""
+
+    @staticmethod
+    def _run(*targets):
+        # a tiny switch interval interleaves the threads inside each platform call
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=target) for target in targets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_concurrent_extends_leave_a_consistent_mirror(self, rng):
+        depth = 8
+        for _ in range(8):
+            platform = make_platform([], depth)
+            leaves = random_leaves(rng, depth, count=1 << depth)
+
+            def extend(share):
+                return lambda: [platform.extend(Digest(raw)) for raw in share]
+
+            self._run(*(extend(leaves[i::4]) for i in range(4)))
+            assert platform.root_state() is RegisterState.CR
+            assert find_inconsistency(platform.tree, platform.root()) is None
+            assert all(platform.verify_node(coord) for coord in platform.tree.coords())
+
+    def test_concurrent_updates_and_verifies_keep_every_node_verifying(self, rng):
+        depth = 8
+        platform = make_platform(random_leaves(rng, depth, count=1 << depth), depth)
+        coords, leaves = list(platform.tree.coords()), sorted(platform.tree.leaf_coords())
+        # leaves only: an update then blanks nothing, so every node stays honest throughout
+        updates = [(coord, Digest(random_digest(rng))) for coord in rng.sample(leaves, 96)]
+        failed = []
+
+        def update(share):
+            return lambda: failed.extend(c for c, new in share if platform.verified_update(c, new) is None)
+
+        def verify(seed):
+            picks = random.Random(seed).choices(coords, k=400)
+            return lambda: failed.extend(c for c in picks if not platform.verify_node(c))
+
+        self._run(*(update(updates[i::3]) for i in range(3)), *(verify(seed) for seed in range(3)))
+        assert failed == []
+        assert find_inconsistency(platform.tree, platform.root()) is None
+        assert all(platform.tree.node(c) == new for c, new in updates)
+        assert all(platform.verify_node(coord) for coord in coords)

@@ -424,3 +424,17 @@ class TestLevelStorage:
             tracemalloc.stop()
         assert tree.node("1" * MAX_DEPTH) is NIL
         assert peak < 40 * 2**20
+
+    def test_header_refused_before_the_tree_is_allocated(self):
+        # a one-line header claiming a depth-20 log must not cost a depth-20 tree
+        header = b"SMLTREE v1 alg=sha1 depth=20 leaves=0 root-reg=0 root=nil state=CR"
+        tracemalloc.start()
+        try:
+            with pytest.raises(EncodingError, match="^line 1: expected 2097150 node lines, got 0$"):
+                parse_sml(header)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(EncodingError, match="^line 1: leaf count 1048577 out of range$"):
+            parse_sml(header.replace(b"leaves=0", b"leaves=1048577"))

@@ -4,16 +4,26 @@ import secrets
 import socket
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_platform
 from oracle import random_leaves
-from treepcr import NodeRef, SigningKey, extract_subtree, serialize_sml
-from treepcr.certification import AttestationPackage, PrivacyCa, build_attestation_package
+from treepcr import NodeRef, SHA1, SigningKey, extract_subtree, serialize_sml
+from treepcr.certification import (
+    AttestationPackage,
+    IssuePackage,
+    Manifest,
+    PrivacyCa,
+    SubtreeCertificate,
+    build_attestation_package,
+    issue_subtree_certificate,
+)
+from treepcr.crypto import digest_from_wire
 from treepcr.discovery import DiscoveryData
-from treepcr.encoding import pack_fields, unpack_fields
+from treepcr.encoding import EncodingError, pack_fields, pack_u32, unpack_fields
 from treepcr.engine import Quote
 from treepcr.protocol import certify_subtree, make_validation_bundle
-from treepcr.sca import OK, REJECT_PACKAGE, REJECT_SUBTREE, PolicyTable, SubtreeCa
+from treepcr.sca import OK, REJECT_PACKAGE, REJECT_SUBTREE, PassiveResult, PolicyTable, SubtreeCa
 from treepcr.tree import MAX_DEPTH
 from treepcr.validator import validate_subtree
 from treepcr.wire import (
@@ -28,9 +38,11 @@ from treepcr.wire import (
     ProtocolFrameError,
     ScaClient,
     pack_passive_request,
+    pack_passive_result,
     parse_error,
     read_frame,
     start_server,
+    unpack_passive_result,
     write_frame,
 )
 
@@ -255,6 +267,38 @@ class TestService:
         finally:
             sock.close()
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_flipped_payload_byte_never_answers_internal(self, served, data):
+        # every client message that carries a payload, each field in use; the frame header stays intact
+        platform, _, _, address = served
+        aik_pub = platform.aik.public
+        subtree = serialize_sml(extract_subtree(platform.tree, "0"))
+        sock = socket.create_connection(address, timeout=5)
+        try:
+            write_frame(sock, MSG_NONCE, b"")
+            _, nonce = read_frame(sock)
+            quote = data.draw(st.sampled_from([
+                platform.quote_node("01", nonce, include_coord=True), platform.quote_reduced("01", nonce)
+            ]))
+            aik_cert = PrivacyCa().issue(aik_pub, "platform")
+            frames = [
+                (MSG_ATTEST, AttestationPackage(quote, aik_pub, quote.node_value, "01", aik_cert, subtree).to_bytes()),
+                (MSG_PASSIVE, pack_passive_request(platform.node("0"), subtree, aik_pub, quote)),
+            ]
+            msg_type, payload = data.draw(st.sampled_from(frames))
+            index = data.draw(st.integers(min_value=0, max_value=len(payload) - 1))
+            flip = data.draw(st.integers(min_value=1, max_value=255))
+            flipped = payload[:index] + bytes([payload[index] ^ flip]) + payload[index + 1 :]
+            write_frame(sock, msg_type, flipped)
+            got, body = read_frame(sock)
+            assert got != MSG_ERROR or parse_error(body)[0] != "internal", parse_error(body)
+            write_frame(sock, MSG_NONCE, b"")
+            got, nonce = read_frame(sock)
+            assert got == MSG_NONCE_RESP and len(nonce) == 16
+        finally:
+            sock.close()
+
     def test_client_surfaces_error_frames(self, served):
         _, _, _, address = served
         with ScaClient(address) as client:
@@ -303,3 +347,88 @@ class TestService:
         finally:
             server.shutdown()
             server.server_close()
+
+
+def _retag(blob, count, index, tag):
+    """``blob`` with the tag byte of its tagged field ``index`` replaced by ``tag``."""
+    fields = unpack_fields(blob, count=count)
+    fields[index] = tag + fields[index][1:]
+    return pack_fields(*fields)
+
+
+class TestCanonicalDecoding:
+    """Each wire object has one encoding: it round-trips byte for byte, and no other bytes decode."""
+
+    @pytest.fixture
+    def objects(self, rng):
+        platform = make_platform(random_leaves(rng, 3, count=8), 3)
+        key = SigningKey.from_seed(b"\x07" * 32)
+        manifest = Manifest(SHA1.measure(b"subject"), (("function", "test"),), 7, "issuer", aik_checked=True)
+        quote = platform.quote_node("01", b"n", include_coord=True)
+        concealed = issue_subtree_certificate(key, "issuer", manifest, bind=b"fingerprint")
+        issue = IssuePackage(manifest, concealed, bind=b"fingerprint")
+        return {
+            "quote": quote,
+            "root-quote": platform.quote_node("", b"n"),
+            "reduced-quote": platform.quote_reduced("01", b"n"),
+            "root-reduced-quote": platform.quote_reduced("", b"n"),
+            "manifest": manifest,
+            "unchecked-manifest": Manifest(manifest.subject, manifest.properties, 7, "issuer"),
+            "revealed": issue_subtree_certificate(key, "issuer", manifest, quote=quote),
+            "concealed": concealed,
+            "issue": issue,
+            "package": AttestationPackage(quote, platform.aik.public, quote.node_value, "01"),
+            "root-package": AttestationPackage(quote, platform.aik.public, coord=""),
+            "passive": PassiveResult("rejected", "bad", "010", [platform.node("0")], [("01", issue)]),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["quote", "root-quote", "reduced-quote", "root-reduced-quote", "manifest", "unchecked-manifest",
+         "revealed", "concealed", "issue", "package", "root-package", "passive"],
+    )
+    def test_round_trip_byte_for_byte(self, objects, name):
+        obj = objects[name]
+        if name == "passive":
+            blob = pack_passive_result(obj)
+            assert pack_passive_result(unpack_passive_result(blob)) == blob
+            assert unpack_passive_result(blob) == obj
+        else:
+            blob = obj.to_bytes()
+            assert type(obj).from_bytes(blob) == obj
+            assert type(obj).from_bytes(blob).to_bytes() == blob
+
+    @pytest.mark.parametrize(
+        "name, decode, count, index",
+        [
+            ("quote", Quote.from_bytes, 10, 6),
+            ("concealed", SubtreeCertificate.from_bytes, 6, 4),
+            ("issue", IssuePackage.from_bytes, 4, 3),
+            ("package", AttestationPackage.from_bytes, 8, 4),
+            ("root-package", AttestationPackage.from_bytes, 8, 4),
+            ("passive", unpack_passive_result, 5, 2),
+        ],
+    )
+    @pytest.mark.parametrize("tag", [b"x", b"\x00"])
+    def test_wrong_tag_byte_refused(self, objects, name, decode, count, index, tag):
+        obj = objects[name]
+        blob = pack_passive_result(obj) if name == "passive" else obj.to_bytes()
+        with pytest.raises(EncodingError, match="field tag"):
+            decode(_retag(blob, count, index, tag))
+
+    def test_reduced_quote_root_register_takes_four_bytes(self, objects):
+        fields = unpack_fields(objects["reduced-quote"].to_bytes(), count=10)
+        for root_register in (b"\x00" + fields[8], fields[8][1:], b""):
+            with pytest.raises(EncodingError):
+                Quote.from_bytes(pack_fields(*fields[:8], root_register, fields[9]))
+        assert fields[8] == pack_u32(objects["reduced-quote"].root_register)
+
+    @pytest.mark.parametrize("flag", [b"\x02", b"\xff", b"", b"\x01\x01"])
+    def test_manifest_flag_is_one_byte_zero_or_one(self, objects, flag):
+        fields = unpack_fields(objects["manifest"].to_bytes())
+        with pytest.raises(EncodingError):
+            Manifest.from_bytes(pack_fields(*fields[:-1], flag))
+
+    def test_empty_tagged_digest_refused(self):
+        with pytest.raises(EncodingError):
+            digest_from_wire(b"\x01")
