@@ -12,7 +12,6 @@ from .crypto import (
     SHA256,
     Digest,
     HashConfig,
-    Signature,
     SigningKey,
     VerifyingKey,
     parse_digest,
@@ -68,7 +67,6 @@ __all__ = [
     "Platform",
     "Quote",
     "RegisterState",
-    "Signature",
     "SigningKey",
     "SmlDocument",
     "SmlTree",

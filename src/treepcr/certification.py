@@ -5,7 +5,8 @@ bind manifest and platform together in one of two shapes: a *revealed*
 certificate signs the manifest next to the platform's own quote of the
 node, while a *concealed* certificate signs the manifest next to an
 identifier of the attestation key, so the node value itself never
-appears in the issued material.
+appears in the issued material. Each signed object encodes its signed
+fields and its signature, and nothing else.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from .crypto import (
     Digest,
     HashConfig,
-    Signature,
     SigningKey,
     VerifyingKey,
     digest_from_wire,
@@ -30,7 +30,6 @@ from .tree import NodeRef, check_coord, leq
 
 REVEALED = "revealed"
 CONCEALED = "concealed"
-MODES = (REVEALED, CONCEALED)
 
 
 @dataclass(frozen=True)
@@ -94,24 +93,18 @@ class AikCertificate:
     aik_pub: VerifyingKey
     subject: str
     issuer: str
-    signature: Signature
+    signature: bytes
 
     def payload(self) -> bytes:
         return pack_fields(b"AIK1", self.aik_pub.raw, self.subject.encode("utf-8"), self.issuer.encode("utf-8"))
 
     def to_bytes(self) -> bytes:
-        return pack_fields(
-            self.aik_pub.raw,
-            self.subject.encode("utf-8"),
-            self.issuer.encode("utf-8"),
-            self.signature.data,
-            self.signature.signer,
-        )
+        return pack_fields(self.aik_pub.raw, self.subject.encode("utf-8"), self.issuer.encode("utf-8"), self.signature)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AikCertificate":
-        pub, subject, issuer, sig, signer = unpack_fields(data, count=5)
-        return cls(VerifyingKey(pub), decode_text(subject, "utf-8"), decode_text(issuer, "utf-8"), Signature(sig, signer))
+        pub, subject, issuer, signature = unpack_fields(data, count=4)
+        return cls(VerifyingKey(pub), decode_text(subject, "utf-8"), decode_text(issuer, "utf-8"), signature)
 
 
 class PrivacyCa:
@@ -126,7 +119,7 @@ class PrivacyCa:
         return self.key.public
 
     def issue(self, aik_pub: VerifyingKey, subject: str) -> AikCertificate:
-        cert = AikCertificate(aik_pub, subject, self.name, Signature(b"", b""))
+        cert = AikCertificate(aik_pub, subject, self.name, b"")
         return AikCertificate(aik_pub, subject, self.name, sign(self.key, "CERT", cert.payload()))
 
 
@@ -151,49 +144,31 @@ def aik_certificate_failure(
 class SubtreeCertificate:
     """The issuer's signature binding a manifest to a platform.
 
-    ``bind`` carries the AIK fingerprint in concealed mode. The node
-    value a certificate stands for is the hash of its encoding
-    (``measure_certificate``), never a value carried beside the
-    signature. The encoding keeps a sixth field that is always empty, so
-    the bytes of issued certificates stay as they were.
+    ``bind`` carries the AIK fingerprint, and its presence makes the
+    certificate concealed. The encoding is the signature and ``bind``,
+    which the signature covers; the issuer is the signed
+    ``Manifest.issuer``. The node value a certificate stands for is the
+    hash of its encoding (``measure_certificate``).
     """
 
-    mode: str
-    issuer: str
-    signature: Signature
+    signature: bytes
     bind: bytes | None = None
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"certificate mode must be one of {MODES}, got {self.mode!r}")
-        if (self.mode == CONCEALED) != (self.bind is not None):
-            raise ValueError("concealed certificates carry a binding identifier, revealed ones do not")
+    @property
+    def mode(self) -> str:
+        return REVEALED if self.bind is None else CONCEALED
 
     def to_bytes(self) -> bytes:
-        return pack_fields(
-            self.mode.encode("ascii"),
-            self.issuer.encode("utf-8"),
-            self.signature.data,
-            self.signature.signer,
-            b"" if self.bind is None else b"b" + self.bind,
-            b"",
-        )
+        return pack_fields(self.signature, b"" if self.bind is None else b"b" + self.bind)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SubtreeCertificate":
-        mode, issuer, sig, signer, bind, unsigned = unpack_fields(data, count=6)
-        if unsigned:
-            raise EncodingError("certificate carries a field its signature does not cover")
-        return cls(
-            mode=decode_text(mode),
-            issuer=decode_text(issuer, "utf-8"),
-            signature=Signature(sig, signer),
-            bind=untag(bind, b"b"),
-        )
+        signature, bind = unpack_fields(data, count=2)
+        return cls(signature, untag(bind, b"b"))
 
     def describe(self) -> str:
         bind = "-" if self.bind is None else self.bind.hex()
-        return f"certificate mode={self.mode} issuer={self.issuer} bind={bind}"
+        return f"certificate mode={self.mode} bind={bind}"
 
 
 def certificate_payload(manifest: Manifest, quote: Quote | None = None, bind: bytes | None = None) -> bytes:
@@ -207,14 +182,11 @@ def certificate_payload(manifest: Manifest, quote: Quote | None = None, bind: by
 
 def issue_subtree_certificate(
     key: SigningKey,
-    issuer: str,
     manifest: Manifest,
     quote: Quote | None = None,
     bind: bytes | None = None,
 ) -> SubtreeCertificate:
-    mode = REVEALED if quote is not None else CONCEALED
-    signature = sign(key, "CERT", certificate_payload(manifest, quote, bind))
-    return SubtreeCertificate(mode, issuer, signature, bind=bind)
+    return SubtreeCertificate(sign(key, "CERT", certificate_payload(manifest, quote, bind)), bind)
 
 
 def verify_subtree_certificate(
@@ -248,22 +220,22 @@ class RefValueCert:
 
     value: Digest
     issuer: str
-    signature: Signature
+    signature: bytes
 
     def payload(self) -> bytes:
         return pack_fields(b"REF1", digest_to_wire(self.value), self.issuer.encode("utf-8"))
 
     def to_bytes(self) -> bytes:
-        return pack_fields(digest_to_wire(self.value), self.issuer.encode("utf-8"), self.signature.data, self.signature.signer)
+        return pack_fields(digest_to_wire(self.value), self.issuer.encode("utf-8"), self.signature)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RefValueCert":
-        value, issuer, sig, signer = unpack_fields(data, count=4)
-        return cls(digest_from_wire(value), decode_text(issuer, "utf-8"), Signature(sig, signer))
+        value, issuer, signature = unpack_fields(data, count=3)
+        return cls(digest_from_wire(value), decode_text(issuer, "utf-8"), signature)
 
 
 def issue_ref_value(key: SigningKey, issuer: str, value: Digest) -> RefValueCert:
-    cert = RefValueCert(value, issuer, Signature(b"", b""))
+    cert = RefValueCert(value, issuer, b"")
     return RefValueCert(value, issuer, sign(key, "CERT", cert.payload()))
 
 
@@ -284,7 +256,6 @@ class AttestationPackage:
     quote: Quote
     aik_pub: VerifyingKey
     node_value: Digest | None = None
-    coord: str | None = None
     aik_cert: AikCertificate | None = None
     subtree: bytes | None = None
     aux: tuple[RefValueCert, ...] = ()
@@ -295,7 +266,6 @@ class AttestationPackage:
             self.quote.to_bytes(),
             self.aik_pub.raw,
             b"" if self.node_value is None else digest_to_wire(self.node_value),
-            b"" if self.coord is None else b"c" + self.coord.encode("ascii"),
             b"" if self.aik_cert is None else self.aik_cert.to_bytes(),
             b"" if self.subtree is None else self.subtree,
             pack_fields(*(entry.to_bytes() for entry in self.aux)),
@@ -303,15 +273,13 @@ class AttestationPackage:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AttestationPackage":
-        magic, quote, pub, value, coord, cert, subtree, aux = unpack_fields(data, count=8)
+        magic, quote, pub, value, cert, subtree, aux = unpack_fields(data, count=7)
         if magic != b"Q1":
             raise EncodingError("bad attestation package encoding")
-        coord = untag(coord, b"c")
         return cls(
             quote=Quote.from_bytes(quote),
             aik_pub=VerifyingKey(pub),
             node_value=None if not value else digest_from_wire(value),
-            coord=None if coord is None else decode_text(coord),
             aik_cert=None if not cert else AikCertificate.from_bytes(cert),
             subtree=None if not subtree else subtree,
             aux=tuple(RefValueCert.from_bytes(f) for f in unpack_fields(aux)),
@@ -320,30 +288,20 @@ class AttestationPackage:
 
 @dataclass
 class IssuePackage:
-    """What the issuer returns: manifest, certificate, binding identifier."""
+    """What the issuer returns: manifest and certificate."""
 
     manifest: Manifest
     certificate: SubtreeCertificate
-    bind: bytes | None = None
 
     def to_bytes(self) -> bytes:
-        return pack_fields(
-            b"R1",
-            self.manifest.to_bytes(),
-            self.certificate.to_bytes(),
-            b"" if self.bind is None else b"b" + self.bind,
-        )
+        return pack_fields(b"R1", self.manifest.to_bytes(), self.certificate.to_bytes())
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "IssuePackage":
-        magic, manifest, cert, bind = unpack_fields(data, count=4)
+        magic, manifest, cert = unpack_fields(data, count=3)
         if magic != b"R1":
             raise EncodingError("bad issue package encoding")
-        return cls(
-            manifest=Manifest.from_bytes(manifest),
-            certificate=SubtreeCertificate.from_bytes(cert),
-            bind=untag(bind, b"b"),
-        )
+        return cls(manifest=Manifest.from_bytes(manifest), certificate=SubtreeCertificate.from_bytes(cert))
 
 
 # -- update sets ------------------------------------------------------------

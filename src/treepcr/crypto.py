@@ -166,20 +166,12 @@ class VerifyingKey:
         return cls(bytes.fromhex(text.strip()))
 
 
-@dataclass(frozen=True)
-class Signature:
-    data: bytes
-    signer: bytes  # fingerprint of the signer's public key
-
-
 class SigningKey:
     """Ed25519 private key; signatures are deterministic for fixed input."""
 
     def __init__(self, private: ed25519.Ed25519PrivateKey) -> None:
         self._private = private
         self.public = VerifyingKey(private.public_key().public_bytes_raw())
-        #: ``public.fingerprint()``, hashed once: every signature carries it
-        self.fingerprint = self.public.fingerprint()
 
     @classmethod
     def generate(cls) -> "SigningKey":
@@ -201,16 +193,20 @@ def _signing_blob(tag: str, payload: bytes, nonce: bytes) -> bytes:
     return pack_fields(tag.encode("ascii"), payload, nonce)
 
 
-def sign(key: SigningKey, tag: str, payload: bytes, nonce: bytes = b"") -> Signature:
-    """Sign the canonical (tag, payload, nonce) blob."""
-    return Signature(key._private.sign(_signing_blob(tag, payload, nonce)), key.fingerprint)
+def sign(key: SigningKey, tag: str, payload: bytes, nonce: bytes = b"") -> bytes:
+    """Sign the canonical (tag, payload, nonce) blob.
+
+    A signature is its raw bytes: every verifier is handed the key, so a
+    signature carries no key identifier.
+    """
+    return key._private.sign(_signing_blob(tag, payload, nonce))
 
 
-def verify(key: VerifyingKey, tag: str, payload: bytes, nonce: bytes, signature: Signature) -> bool:
+def verify(key: VerifyingKey, tag: str, payload: bytes, nonce: bytes, signature: bytes) -> bool:
     """True iff the signature matches the canonical blob under ``key``."""
     blob = _signing_blob(tag, payload, nonce)
     try:
-        ed25519.Ed25519PublicKey.from_public_bytes(key.raw).verify(signature.data, blob)
+        ed25519.Ed25519PublicKey.from_public_bytes(key.raw).verify(signature, blob)
     except (InvalidSignature, ValueError):
         return False
     return True

@@ -45,7 +45,6 @@ from .crypto import (
     Digest,
     HashConfig,
     SHA1,
-    Signature,
     SigningKey,
     VerifyingKey,
     as_digest,
@@ -201,8 +200,7 @@ class Quote:
     tag: str
     node_value: Digest
     nonce: bytes
-    signature: Signature
-    aik_id: bytes
+    signature: bytes
     coord: str | None = None
     reduced_values: tuple[Digest, ...] | None = None
     root_register: int | None = None
@@ -224,9 +222,7 @@ class Quote:
             self.tag.encode("ascii"),
             digest_to_wire(self.node_value),
             self.nonce,
-            self.signature.data,
-            self.signature.signer,
-            self.aik_id,
+            self.signature,
             b"" if self.coord is None else b"c" + self.coord.encode("ascii"),
             b"" if reduced is None else pack_fields(*(digest_to_wire(d) for d in reduced)),
             b"" if self.root_register is None else pack_u32(self.root_register),
@@ -235,9 +231,7 @@ class Quote:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Quote":
-        (tag, value, nonce, sig, signer, aik_id, coord, reduced, root_reg, root_val) = unpack_fields(
-            data, count=10
-        )
+        tag, value, nonce, signature, coord, reduced, root_reg, root_val = unpack_fields(data, count=8)
         # a root REDTREEQUOT has an empty sibling field, so the tag decides
         reduced_tree = tag == b"REDTREEQUOT"
         if reduced_tree and not (root_reg and root_val):
@@ -249,8 +243,7 @@ class Quote:
             tag=decode_text(tag),
             node_value=digest_from_wire(value),
             nonce=nonce,
-            signature=Signature(sig, signer),
-            aik_id=aik_id,
+            signature=signature,
             coord=None if coord is None else decode_text(coord),
             reduced_values=tuple(map(digest_from_wire, unpack_fields(reduced))) if reduced_tree else None,
             root_register=unpack_u32(root_reg) if reduced_tree else None,
@@ -778,7 +771,7 @@ class TreeTpm:
         """Sign the canonical payload of one quote variant."""
         self.stats.quote_ops += 1
         signature = sign(aik, tag, quote_payload(tag, node_value, **fields), nonce)
-        return Quote(tag, node_value, nonce, signature, signature.signer, **fields)
+        return Quote(tag, node_value, nonce, signature, **fields)
 
     def quote_register(self, reg: int, aik: SigningKey, nonce: bytes) -> Quote:
         """Plain register quote (tag QUOT); no tree-state gate."""

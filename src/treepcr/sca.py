@@ -133,6 +133,10 @@ class SubtreeCa:
     clock: object = None
     _nonces: OrderedDict[bytes, None] = field(default_factory=OrderedDict)
 
+    def __post_init__(self) -> None:
+        if self.mode not in (REVEALED, CONCEALED):
+            raise ValueError(f"mode must be {REVEALED!r} or {CONCEALED!r}, got {self.mode!r}")
+
     @property
     def public(self) -> VerifyingKey:
         return self.key.public
@@ -215,16 +219,12 @@ class SubtreeCa:
             issuer=self.name,
             aik_checked=aik_checked,
         )
-        bind = aik_pub.fingerprint() if concealed else None
-        certificate = issue_subtree_certificate(
-            self.key,
-            self.name,
-            manifest,
-            quote=None if concealed else quote,
-            bind=bind,
-        )
+        if concealed:
+            certificate = issue_subtree_certificate(self.key, manifest, bind=aik_pub.fingerprint())
+        else:
+            certificate = issue_subtree_certificate(self.key, manifest, quote=quote)
         logger.info("issued %s certificate for %s", mode, subject.to_text())
-        return IssuePackage(manifest, certificate, bind=bind)
+        return IssuePackage(manifest, certificate)
 
     def _leaf_properties(self, subtree: SmlTree, package: AttestationPackage) -> IssueOutcome | Properties:
         """Certification from leaf values: the log must refold to the quoted

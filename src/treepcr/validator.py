@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certification import (
-    CONCEALED,
     REVEALED,
     AikCertificate,
     Manifest,
@@ -124,13 +123,11 @@ def validate_subtree(
             return _reject("manifest-subject")
         if not verify_subtree_certificate(cert, bundle.manifest, sca_pub, quote=bundle.original_quote):
             return _reject("certificate-signature")
-    elif cert.mode == CONCEALED:
+    else:
         if cert.bind != bundle.aik_pub.fingerprint():
             return _reject("binding-mismatch")
         if not verify_subtree_certificate(cert, bundle.manifest, sca_pub):
             return _reject("certificate-signature")
-    else:
-        return _reject("certificate-mode")
 
     return _check_tree_binding(bundle, config)
 

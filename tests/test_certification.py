@@ -1,3 +1,4 @@
+import dataclasses
 import secrets
 import sys
 import threading
@@ -27,6 +28,7 @@ from treepcr.certification import (
     verify_subtree_certificate,
 )
 from treepcr.encoding import EncodingError, pack_fields, unpack_fields
+from treepcr.engine import refold_reduced_quote, verify_quote
 from treepcr.protocol import ProtocolError, certify_subtree, make_validation_bundle
 from treepcr import sca as sca_module
 from treepcr.sca import (
@@ -36,9 +38,11 @@ from treepcr.sca import (
     REJECT_FRESHNESS,
     REJECT_PACKAGE,
     REJECT_SIGNATURE,
+    REJECT_SUBTREE,
     PolicyTable,
     SubtreeCa,
 )
+from treepcr.tree import extract_subtree, serialize_sml
 from treepcr.validator import (
     BIND_BOUND_ROOT,
     BIND_NODE,
@@ -117,10 +121,8 @@ class TestCertificateShapes:
     def test_exactly_one_binding_shape(self, aik):
         with pytest.raises(ValueError):
             certificate_payload(manifest_fixture())
-        with pytest.raises(ValueError):
-            SubtreeCertificate("revealed", "x", None, bind=b"b")
-        with pytest.raises(ValueError):
-            SubtreeCertificate("concealed", "x", None, bind=None)
+        assert SubtreeCertificate(b"", bind=b"b").mode == "concealed"
+        assert SubtreeCertificate(b"").mode == "revealed"
 
     def test_issue_and_verify_both_modes(self, rng, aik):
         platform = make_platform(random_leaves(rng, 2, count=4), 2, aik=aik)
@@ -128,27 +130,25 @@ class TestCertificateShapes:
         sca_key = SigningKey.generate()
         manifest = manifest_fixture()
 
-        revealed = issue_subtree_certificate(sca_key, "sca", manifest, quote=quote)
+        revealed = issue_subtree_certificate(sca_key, manifest, quote=quote)
         assert revealed.mode == "revealed"
         assert verify_subtree_certificate(revealed, manifest, sca_key.public, quote=quote)
         assert not verify_subtree_certificate(revealed, manifest, sca_key.public)
 
         bind = aik.public.fingerprint()
-        concealed = issue_subtree_certificate(sca_key, "sca", manifest, bind=bind)
+        concealed = issue_subtree_certificate(sca_key, manifest, bind=bind)
         assert concealed.mode == "concealed"
         assert verify_subtree_certificate(concealed, manifest, sca_key.public)
         assert not verify_subtree_certificate(concealed, manifest, SigningKey.generate().public)
 
     def test_certificate_round_trip(self, aik):
-        cert = issue_subtree_certificate(
-            SigningKey.generate(), "sca", manifest_fixture(), bind=aik.public.fingerprint()
-        )
+        cert = issue_subtree_certificate(SigningKey.generate(), manifest_fixture(), bind=aik.public.fingerprint())
         again = SubtreeCertificate.from_bytes(cert.to_bytes())
         assert again == cert and again.to_bytes() == cert.to_bytes()
 
     def test_unsigned_certificate_field_refused(self, rng, aik, pca):
-        # the signature does not cover the certificate's sixth field: a value F
-        # spliced in there must not stand in for m(C) under a star binding
+        # the signature covers every certificate field: a value F spliced in
+        # as an extra field must not stand in for m(C) under a star binding
         platform = certified_platform(rng, aik, pca)
         sca = sca_for(platform, "01", "concealed", pca)
         credential = certify_subtree(platform, sca, "01", layout="empty")
@@ -166,9 +166,7 @@ class TestCertificateShapes:
         assert not result.accepted and result.reason == "tree-binding"
 
         fields = unpack_fields(bundle.to_bytes(), count=9)
-        cert_fields = unpack_fields(fields[3], count=6)
-        cert_fields[5] = b"f" + forged_value.value
-        fields[3] = pack_fields(*cert_fields)
+        fields[3] = pack_fields(*unpack_fields(fields[3], count=2), b"f" + forged_value.value)
         with pytest.raises(EncodingError):
             SubtreeCertificate.from_bytes(fields[3])
         with pytest.raises(EncodingError):
@@ -303,6 +301,27 @@ class TestScaIssue:
         quote = platform.quote_node("01", sca.issue_nonce())
         assert sca.verify_and_issue(build_attestation_package(quote, aik.public)).status == REJECT_AIK_CERT
 
+    def test_mistyped_mode_refused(self, rng, aik, pca):
+        platform = certified_platform(rng, aik, pca)
+        with pytest.raises(ValueError, match="mode must be"):
+            sca_for(platform, "01", "Concealed", pca)
+
+    @pytest.mark.parametrize(
+        "tamper, detail",
+        [
+            (lambda sub: b"not a log", "unparseable subtree log: "),
+            (lambda sub: sub.set_node("0", SHA1.measure(b"forged")) or serialize_sml(sub), "inconsistent at 0"),
+        ],
+        ids=["unparseable", "inconsistent"],
+    )
+    def test_leaf_route_refuses_a_bad_log(self, rng, aik, pca, tamper, detail):
+        platform = certified_platform(rng, aik, pca)
+        sca = sca_for(platform, "10", "revealed", pca)  # "01" itself is unknown, so its leaves decide
+        quote = platform.quote_node("01", sca.issue_nonce())
+        subtree = tamper(extract_subtree(platform.tree, "01"))
+        outcome = sca.verify_and_issue(build_attestation_package(quote, aik.public, subtree=subtree))
+        assert outcome.status == REJECT_SUBTREE and outcome.detail.startswith(detail)
+
     def test_policy_file_round_trip(self, rng):
         value = Digest(random_digest(rng))
         table = PolicyTable()
@@ -352,12 +371,12 @@ class TestUpdateSetShapes:
 
     def test_empty_layout(self, rng, aik, pca):
         issue = IssuePackage(manifest_fixture(), issue_subtree_certificate(
-            SigningKey.generate(), "sca", manifest_fixture(), bind=aik.public.fingerprint()))
+            SigningKey.generate(), manifest_fixture(), bind=aik.public.fingerprint()))
         assert binding_update_set(issue, NodeRef("01", SHA1.measure(b"s")), "empty", SHA1, 4) == []
 
     def test_full_layout_coordinates(self, aik):
         manifest = manifest_fixture()
-        cert = issue_subtree_certificate(SigningKey.generate(), "sca", manifest, bind=aik.public.fingerprint())
+        cert = issue_subtree_certificate(SigningKey.generate(), manifest, bind=aik.public.fingerprint())
         issue = IssuePackage(manifest, cert)
         s_old = NodeRef("01", SHA1.measure(b"old-s"))
         entries = binding_update_set(issue, s_old, "full", SHA1, 4)
@@ -368,13 +387,13 @@ class TestUpdateSetShapes:
 
     def test_full_layout_depth_guard(self, aik):
         manifest = manifest_fixture()
-        cert = issue_subtree_certificate(SigningKey.generate(), "sca", manifest, bind=aik.public.fingerprint())
+        cert = issue_subtree_certificate(SigningKey.generate(), manifest, bind=aik.public.fingerprint())
         with pytest.raises(ValueError, match="spare levels"):
             binding_update_set(IssuePackage(manifest, cert), NodeRef("01", SHA1.measure(b"s")), "full", SHA1, 3)
 
     def test_custom_layout_validated(self, aik):
         manifest = manifest_fixture()
-        cert = issue_subtree_certificate(SigningKey.generate(), "sca", manifest, bind=aik.public.fingerprint())
+        cert = issue_subtree_certificate(SigningKey.generate(), manifest, bind=aik.public.fingerprint())
         issue = IssuePackage(manifest, cert)
         s_old = NodeRef("01", SHA1.measure(b"s"))
         x, y = SHA1.measure(b"x"), SHA1.measure(b"y")
@@ -458,6 +477,27 @@ class TestEndToEnd:
         bundle = make_validation_bundle(platform, credential, nonce)
         assert validate_subtree(bundle, sca_pub=sca.public, nonce=nonce, config=SHA256).accepted
 
+    def test_bulk_binding_matches_naive(self, rng, aik, pca):
+        # concealed with a fixed clock, so that both runs issue the same certificate
+        leaves = random_leaves(rng, 4, count=16)
+        runs = []
+        for bulk in (True, False):
+            platform = make_platform(leaves, 4, aik=aik)
+            sca = sca_for(platform, "01", "concealed", pca, clock=lambda: 1_700_000_000)
+            credential = certify_subtree(platform, sca, "01", layout="full", bulk=bulk)
+            runs.append((platform, credential))
+        (bulk, bulk_credential), (naive, naive_credential) = runs
+        assert bulk_credential.certificate == naive_credential.certificate
+        assert bulk_credential.manifest == naive_credential.manifest
+        assert serialize_sml(bulk.tree) == serialize_sml(naive.tree)
+        assert bulk.root() == naive.root()
+        # the node quote verifies once; the binding set then takes 2 bulk against 3 naive
+        assert (bulk.engine.stats.verify_ops, naive.engine.stats.verify_ops) == (3, 4)
+
+
+def _flip_signature(cert: SubtreeCertificate) -> SubtreeCertificate:
+    return SubtreeCertificate(bytes([cert.signature[0] ^ 1]) + cert.signature[1:], cert.bind)
+
 
 class TestValidatorRejections:
     def _setup(self, rng, aik, pca, mode="concealed", layout="full"):
@@ -490,11 +530,7 @@ class TestValidatorRejections:
     def test_tampered_certificate_signature(self, rng, aik, pca):
         _, sca, _, nonce, bundle = self._setup(rng, aik, pca)
         cert = bundle.certificate
-        forged = SubtreeCertificate(
-            cert.mode, cert.issuer,
-            type(cert.signature)(bytes([cert.signature.data[0] ^ 1]) + cert.signature.data[1:], cert.signature.signer),
-            bind=cert.bind,
-        )
+        forged = SubtreeCertificate(bytes([cert.signature[0] ^ 1]) + cert.signature[1:], bind=cert.bind)
         bundle.certificate = forged
         result = validate_subtree(bundle, sca_pub=sca.public, nonce=nonce)
         assert not result.accepted and result.reason == "certificate-signature"
@@ -541,7 +577,6 @@ class TestValidatorRejections:
             node_value=quote.node_value,
             nonce=quote.nonce,
             signature=quote.signature,
-            aik_id=quote.aik_id,
             coord=quote.coord,
             reduced_values=tuple(reversed(quote.reduced_values)),
             root_register=quote.root_register,
@@ -549,6 +584,90 @@ class TestValidatorRejections:
         )
         result = validate_subtree(bundle, sca_pub=sca.public, nonce=nonce)
         assert not result.accepted and result.reason in ("quote-signature", "reduced-tree-mismatch")
+
+    @pytest.mark.parametrize(
+        "mode, layout, binding, changes, reason",
+        [
+            ("concealed", "full", None, lambda p, b, n: {"quote": p.engine.reduced_tree_quote(
+                p.tree.node("010"), [SHA1.measure(b"wrong")] * 3, "010", p.root_reg, p.aik, n)},
+             "reduced-tree-mismatch"),
+            ("concealed", "full", None, lambda p, b, n: {
+                "aik_cert": PrivacyCa(SigningKey.from_seed(b"\x0b" * 32)).issue(p.aik.public, "imposter")},
+             "aik-certificate"),
+            ("revealed", "full", None, lambda p, b, n: {
+                "original_quote": dataclasses.replace(b.original_quote, nonce=b"replayed")},
+             "original-quote-signature"),
+            ("revealed", "full", None, lambda p, b, n: {"node_value": SHA1.measure(b"other")}, "subject-mismatch"),
+            ("revealed", "full", None, lambda p, b, n: {
+                "manifest": dataclasses.replace(b.manifest, subject=SHA1.measure(b"other"))},
+             "manifest-subject"),
+            ("revealed", "full", None, lambda p, b, n: {"certificate": _flip_signature(b.certificate)},
+             "certificate-signature"),
+            ("revealed", "empty", None, lambda p, b, n: {"quote": p.quote_node("10", n)}, "tree-binding"),
+            ("revealed", "full", None, lambda p, b, n: {"quote": p.quote_node("10", n)}, "tree-binding"),
+            ("concealed", "full", BIND_BOUND_ROOT, lambda p, b, n: {"node_value": None}, "missing-validation-data"),
+            ("concealed", "full", None, lambda p, b, n: {"binding": "sideways"}, "binding-mode"),
+        ],
+        ids=["reduced-tree", "aik-cert", "original-quote", "subject", "manifest-subject",
+             "revealed-cert-signature", "node-binding", "bound-root-binding", "bound-root-missing", "binding-mode"],
+    )
+    def test_each_reject_reason(self, rng, aik, pca, mode, layout, binding, changes, reason):
+        platform = certified_platform(rng, aik, pca)
+        sca = sca_for(platform, "01", mode, pca)
+        credential = certify_subtree(platform, sca, "01", layout=layout)
+        nonce = secrets.token_bytes(16)
+        bundle = make_validation_bundle(platform, credential, nonce, binding=binding)
+        assert validate_subtree(bundle, sca_pub=sca.public, nonce=nonce, pca_pub=pca.public).accepted
+        bundle = dataclasses.replace(bundle, **changes(platform, bundle, nonce))
+        result = validate_subtree(bundle, sca_pub=sca.public, nonce=nonce, pca_pub=pca.public)
+        assert not result.accepted and result.reason == reason
+
+
+class TestSignedEncodings:
+    """Every byte of a quote or certificate is one its signature covers."""
+
+    @pytest.fixture
+    def signed(self, rng, aik, pca):
+        platform = certified_platform(rng, aik, pca, depth=3)
+        key = SigningKey.from_seed(b"\x03" * 32)
+        manifest = manifest_fixture()
+        quote = platform.quote_node("01", b"n", include_coord=True)
+
+        def quote_check(q):
+            return verify_quote(q, aik.public) and (q.tag != "REDTREEQUOT" or refold_reduced_quote(q, SHA1))
+
+        return {
+            "treequot-coord": (quote, quote_check),
+            "treequot": (platform.quote_node("01", b"n"), quote_check),
+            "quot": (platform.quote_node("", b"n"), quote_check),
+            "redtreequot": (platform.quote_reduced("01", b"n"), quote_check),
+            "aik-certificate": (platform.aik_cert, lambda c: verify_aik_certificate(c, pca.public)),
+            "revealed": (issue_subtree_certificate(key, manifest, quote=quote),
+                         lambda c: verify_subtree_certificate(c, manifest, key.public, quote=quote)),
+            "concealed": (issue_subtree_certificate(key, manifest, bind=aik.public.fingerprint()),
+                          lambda c: verify_subtree_certificate(c, manifest, key.public)),
+            "ref-value": (issue_ref_value(key, "rim", SHA1.measure(b"v")), lambda c: verify_ref_value(c, key.public)),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["treequot-coord", "treequot", "quot", "redtreequot", "aik-certificate", "revealed", "concealed", "ref-value"],
+    )
+    def test_no_single_byte_flip_decodes_and_verifies(self, signed, name):
+        obj, check = signed[name]
+        blob = obj.to_bytes()
+        assert check(type(obj).from_bytes(blob))
+        surviving = []
+        for index in range(len(blob)):
+            for flip in (0x01, 0x80):
+                flipped = blob[:index] + bytes([blob[index] ^ flip]) + blob[index + 1 :]
+                try:
+                    decoded = type(obj).from_bytes(flipped)
+                except EncodingError:
+                    continue
+                if check(decoded):
+                    surviving.append((index, flip))
+        assert surviving == []
 
 
 class TestPrivacy:
@@ -558,7 +677,7 @@ class TestPrivacy:
         sca = sca_for(platform, "01", "concealed", pca)
         credential = certify_subtree(platform, sca, "01", layout="full")
         cert_bytes = credential.certificate.to_bytes()
-        issue_bytes = IssuePackage(credential.manifest, credential.certificate, credential.certificate.bind).to_bytes()
+        issue_bytes = IssuePackage(credential.manifest, credential.certificate).to_bytes()
         assert s.value not in cert_bytes
         assert s.value not in issue_bytes
         nonce = secrets.token_bytes(16)
@@ -592,7 +711,6 @@ class TestPackageSerialization:
             quote=quote,
             aik_pub=aik.public,
             node_value=platform.tree.node("01"),
-            coord="01",
             aik_cert=platform.aik_cert,
             subtree=b"raw subtree bytes",
             aux=(ref,),
@@ -602,6 +720,6 @@ class TestPackageSerialization:
 
     def test_issue_package_round_trip(self, aik):
         manifest = manifest_fixture()
-        cert = issue_subtree_certificate(SigningKey.generate(), "sca", manifest, bind=aik.public.fingerprint())
-        issue = IssuePackage(manifest, cert, bind=cert.bind)
+        cert = issue_subtree_certificate(SigningKey.generate(), manifest, bind=aik.public.fingerprint())
+        issue = IssuePackage(manifest, cert)
         assert IssuePackage.from_bytes(issue.to_bytes()) == issue

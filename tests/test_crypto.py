@@ -119,9 +119,7 @@ def test_verify_rejects_single_bit_changes():
     sig = sign(key, "CERT", b"payload", b"")
     assert not verify(key.public, "CERT", b"qayload", b"", sig)
     assert not verify(key.public, "CERT", b"payload", b"x", sig)
-    from treepcr import Signature
-
-    flipped = Signature(bytes([sig.data[0] ^ 1]) + sig.data[1:], sig.signer)
+    flipped = bytes([sig[0] ^ 1]) + sig[1:]
     assert not verify(key.public, "CERT", b"payload", b"", flipped)
 
 

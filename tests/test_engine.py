@@ -471,7 +471,6 @@ class TestQuotes:
             node_value=SHA1.measure(b"other"),
             nonce=quote.nonce,
             signature=quote.signature,
-            aik_id=quote.aik_id,
         )
         assert not verify_quote(forged, platform.aik.public)
 
@@ -483,7 +482,6 @@ class TestQuotes:
             node_value=quote.node_value,
             nonce=b"nonce-b",
             signature=quote.signature,
-            aik_id=quote.aik_id,
         )
         assert not verify_quote(replayed, platform.aik.public)
 
@@ -502,7 +500,6 @@ class TestQuotes:
             node_value=quote.node_value,
             nonce=quote.nonce,
             signature=quote.signature,
-            aik_id=quote.aik_id,
             coord=quote.coord,
             reduced_values=tuple(reversed(quote.reduced_values)),
             root_register=quote.root_register,

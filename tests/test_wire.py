@@ -234,7 +234,7 @@ class TestService:
         assert err.value.code == "bad-payload"
 
     def test_undecodable_text_fields_get_bad_payload(self, served):
-        # one hostile text field in each of four message layouts; the session survives each
+        # one hostile text field in each of three message layouts; the session survives each
         platform, _, _, address = served
         aik_pub = platform.aik.public
 
@@ -245,15 +245,14 @@ class TestService:
 
         quote = platform.quote_node("01", secrets.token_bytes(16)).to_bytes()
         aik_cert = PrivacyCa().issue(aik_pub, "platform").to_bytes()
-        package = AttestationPackage(Quote.from_bytes(quote), aik_pub, coord="01").to_bytes()
+        package = AttestationPackage(Quote.from_bytes(quote), aik_pub).to_bytes()
         passive = pack_passive_request(
             platform.node("0"), serialize_sml(extract_subtree(platform.tree, "0")), aik_pub, None
         )
         frames = [
-            (MSG_ATTEST, replace_field(package, 8, 4, b"c\xff")),
-            (MSG_ATTEST, replace_field(package, 8, 1, replace_field(quote, 10, 6, b"c\xff"))),
+            (MSG_ATTEST, replace_field(package, 7, 1, replace_field(quote, 8, 4, b"c\xff"))),
             (MSG_PASSIVE, replace_field(passive, 5, 0, b"\xff")),
-            (MSG_ATTEST, replace_field(package, 8, 5, replace_field(aik_cert, 5, 1, b"\xff\xfe"))),
+            (MSG_ATTEST, replace_field(package, 7, 4, replace_field(aik_cert, 4, 1, b"\xff\xfe"))),
         ]
         sock = socket.create_connection(address, timeout=5)
         try:
@@ -283,7 +282,7 @@ class TestService:
             ]))
             aik_cert = PrivacyCa().issue(aik_pub, "platform")
             frames = [
-                (MSG_ATTEST, AttestationPackage(quote, aik_pub, quote.node_value, "01", aik_cert, subtree).to_bytes()),
+                (MSG_ATTEST, AttestationPackage(quote, aik_pub, quote.node_value, aik_cert, subtree).to_bytes()),
                 (MSG_PASSIVE, pack_passive_request(platform.node("0"), subtree, aik_pub, quote)),
             ]
             msg_type, payload = data.draw(st.sampled_from(frames))
@@ -365,8 +364,8 @@ class TestCanonicalDecoding:
         key = SigningKey.from_seed(b"\x07" * 32)
         manifest = Manifest(SHA1.measure(b"subject"), (("function", "test"),), 7, "issuer", aik_checked=True)
         quote = platform.quote_node("01", b"n", include_coord=True)
-        concealed = issue_subtree_certificate(key, "issuer", manifest, bind=b"fingerprint")
-        issue = IssuePackage(manifest, concealed, bind=b"fingerprint")
+        concealed = issue_subtree_certificate(key, manifest, bind=b"fingerprint")
+        issue = IssuePackage(manifest, concealed)
         return {
             "quote": quote,
             "root-quote": platform.quote_node("", b"n"),
@@ -374,11 +373,11 @@ class TestCanonicalDecoding:
             "root-reduced-quote": platform.quote_reduced("", b"n"),
             "manifest": manifest,
             "unchecked-manifest": Manifest(manifest.subject, manifest.properties, 7, "issuer"),
-            "revealed": issue_subtree_certificate(key, "issuer", manifest, quote=quote),
+            "revealed": issue_subtree_certificate(key, manifest, quote=quote),
             "concealed": concealed,
             "issue": issue,
-            "package": AttestationPackage(quote, platform.aik.public, quote.node_value, "01"),
-            "root-package": AttestationPackage(quote, platform.aik.public, coord=""),
+            "package": AttestationPackage(quote, platform.aik.public, quote.node_value),
+            "root-package": AttestationPackage(quote, platform.aik.public),
             "passive": PassiveResult("rejected", "bad", "010", [platform.node("0")], [("01", issue)]),
         }
 
@@ -401,11 +400,8 @@ class TestCanonicalDecoding:
     @pytest.mark.parametrize(
         "name, decode, count, index",
         [
-            ("quote", Quote.from_bytes, 10, 6),
-            ("concealed", SubtreeCertificate.from_bytes, 6, 4),
-            ("issue", IssuePackage.from_bytes, 4, 3),
-            ("package", AttestationPackage.from_bytes, 8, 4),
-            ("root-package", AttestationPackage.from_bytes, 8, 4),
+            ("quote", Quote.from_bytes, 8, 4),
+            ("concealed", SubtreeCertificate.from_bytes, 2, 1),
             ("passive", unpack_passive_result, 5, 2),
         ],
     )
@@ -417,11 +413,11 @@ class TestCanonicalDecoding:
             decode(_retag(blob, count, index, tag))
 
     def test_reduced_quote_root_register_takes_four_bytes(self, objects):
-        fields = unpack_fields(objects["reduced-quote"].to_bytes(), count=10)
-        for root_register in (b"\x00" + fields[8], fields[8][1:], b""):
+        fields = unpack_fields(objects["reduced-quote"].to_bytes(), count=8)
+        for root_register in (b"\x00" + fields[6], fields[6][1:], b""):
             with pytest.raises(EncodingError):
-                Quote.from_bytes(pack_fields(*fields[:8], root_register, fields[9]))
-        assert fields[8] == pack_u32(objects["reduced-quote"].root_register)
+                Quote.from_bytes(pack_fields(*fields[:6], root_register, fields[7]))
+        assert fields[6] == pack_u32(objects["reduced-quote"].root_register)
 
     @pytest.mark.parametrize("flag", [b"\x02", b"\xff", b"", b"\x01\x01"])
     def test_manifest_flag_is_one_byte_zero_or_one(self, objects, flag):
