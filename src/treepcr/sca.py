@@ -117,6 +117,12 @@ class PassiveResult:
     certificates: list[tuple[str, IssuePackage]] = field(default_factory=list)
 
 
+def _check_mode(mode: str) -> str:
+    if mode not in (REVEALED, CONCEALED):
+        raise ValueError(f"mode must be {REVEALED!r} or {CONCEALED!r}, got {mode!r}")
+    return mode
+
+
 @dataclass
 class SubtreeCa:
     """Issues manifests and subtree certificates against a policy table."""
@@ -134,8 +140,7 @@ class SubtreeCa:
     _nonces: OrderedDict[bytes, None] = field(default_factory=OrderedDict)
 
     def __post_init__(self) -> None:
-        if self.mode not in (REVEALED, CONCEALED):
-            raise ValueError(f"mode must be {REVEALED!r} or {CONCEALED!r}, got {self.mode!r}")
+        _check_mode(self.mode)
 
     @property
     def public(self) -> VerifyingKey:
@@ -210,7 +215,8 @@ class SubtreeCa:
         return None
 
     def _issue(self, value, properties, quote, aik_pub, mode, aik_checked) -> IssuePackage:
-        concealed = mode == CONCEALED
+        # checked here too: the mode attribute can be reassigned after construction
+        concealed = _check_mode(mode) == CONCEALED
         subject = self.config.measure(value.value) if concealed else value
         manifest = Manifest(
             subject=subject,

@@ -23,12 +23,22 @@ quotes, and the receiver's refold of a reduced quote, all run it.
 ``read_path`` is the one read of a node's path: its raw value, siblings and
 trace by index. The platform hands those raw values to the device;
 ``build_reduced_tree``/``build_trace`` wrap them as public ``NodeRef`` lists.
+
+``parse_sml`` reads a canonical log as fixed-width runs per level: a level
+is a few runs of equal-width value or nil lines (one run when complete), and
+each run is checked column by column with stride slices and hex-decoded in
+one call, with no Python work per line. Any other input is re-read from
+line 1 by ``_parse_lines``, the per-line parse, which is the fallback and
+the one source of error messages and line numbers; both read the header
+with ``_parse_header``.
 """
 
 from __future__ import annotations
 
 import copy
+import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .crypto import Digest, HashConfig, SHA1, as_digest, extend_raw, parse_digest, parse_raw
@@ -356,15 +366,33 @@ def serialize_sml(tree: SmlTree, root_value: Digest | None = None, root_state: s
 
 
 def parse_sml(data: bytes) -> SmlDocument:
-    """Parse serialize_sml() output; errors carry the offending line number."""
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"log file is not ascii: {exc}") from exc
-    lines = text.splitlines()
-    if not lines:
-        raise EncodingError("line 1: empty log file")
-    head = lines[0].split()
+    """Parse serialize_sml() output; errors carry the offending line number.
+
+    A canonical log is read as fixed-width runs per level (``_parse_runs``);
+    any other input is re-read line by line (``_parse_lines``), which gives
+    every error.
+    """
+    doc = _parse_runs(data)
+    return _parse_lines(data) if doc is None else doc
+
+
+class _Header(NamedTuple):
+    config: HashConfig
+    depth: int
+    leaves: int
+    root_register: int
+    root_value: Digest | None
+    root_state: str | None
+
+    def empty_tree(self) -> SmlTree:
+        tree = SmlTree(self.depth, self.config, root_register=self.root_register)
+        tree.leaf_count = self.leaves
+        return tree
+
+
+def _parse_header(line: str) -> _Header:
+    """The header line of either parse; errors name line 1."""
+    head = line.split()
     if len(head) < 6 or head[0] != _MAGIC or head[1] != _VERSION:
         raise EncodingError("line 1: bad magic or version")
     fields: dict[str, str] = {}
@@ -394,14 +422,27 @@ def parse_sml(data: bytes) -> SmlDocument:
     root_state = fields.get("state")
     if root_state is not None and root_state not in ("AR", "CR"):
         raise EncodingError(f"line 1: bad root state {root_state!r}")
+    return _Header(config, depth, leaves, root_register, root_value, root_state)
 
+
+def _parse_lines(data: bytes) -> SmlDocument:
+    """The line-by-line parse: it accepts exactly what ``parse_sml`` accepts
+    and is the one source of its error messages and line numbers."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"log file is not ascii: {exc}") from exc
+    lines = text.splitlines()
+    if not lines:
+        raise EncodingError("line 1: empty log file")
+    header = _parse_header(lines[0])
+    depth = header.depth
     node_count = (1 << (depth + 1)) - 2
     if len(lines) - 1 != node_count:
         raise EncodingError(f"line {len(lines)}: expected {node_count} node lines, got {len(lines) - 1}")
     # the header is checked against the lines before the tree is allocated
-    tree = SmlTree(depth, config, root_register=root_register)
-    tree.leaf_count = leaves
-    size = config.size
+    tree = header.empty_tree()
+    size = header.config.size
     start = 1  # lines[start] is the first node line of the current level
     for coords, row in zip(_coord_rows(depth), tree._levels[1:]):
         for index, (line, coord) in enumerate(zip(lines[start : start + len(coords)], coords)):
@@ -415,4 +456,98 @@ def parse_sml(data: bytes) -> SmlDocument:
             except ValueError as exc:
                 raise EncodingError(f"line {start + index + 1}: {exc}") from exc
         start += len(coords)
-    return SmlDocument(tree, root_value, root_state)
+    return SmlDocument(tree, header.root_value, header.root_state)
+
+
+_NIL_TAIL = b" nil\n"
+_FIRST = itemgetter(0)
+
+
+def _parse_runs(data: bytes) -> SmlDocument | None:
+    """The document of a canonical log, or None for any other input.
+
+    Node lines come as they are written: level by level, each level a few
+    runs of equal-width lines (``<coord> <hex>\\n`` or ``<coord> nil\\n``).
+    Every byte of a run is checked by column with stride slices and its
+    hex decoded in one call, so no Python runs per line. Whatever this
+    refuses is left to ``_parse_lines``, so it reports nothing itself.
+    """
+    start = data.find(b"\n") + 1
+    if not start:
+        return None
+    try:
+        line = data[: start - 1].decode("ascii")
+        header = _parse_header(line)
+    except ValueError:  # not ascii, or a bad header: _parse_lines words the error
+        return None
+    depth = header.depth
+    # the header must be the first line splitlines() finds, and the body
+    # long enough for every level as nil lines before a tree is allocated
+    if line.splitlines() != [line]:
+        return None
+    if len(data) - start < sum((level + 5) << level for level in range(1, depth + 1)):
+        return None
+    tree = header.empty_tree()
+    pos = start
+    for level in range(1, depth + 1):
+        pos = _parse_level(data, pos, level, header.config.size, tree._levels[level])
+        if pos is None:
+            return None
+    return SmlDocument(tree, header.root_value, header.root_state) if pos == len(data) else None
+
+
+def _parse_level(data: bytes, pos: int, level: int, size: int, row: list[bytes | None]) -> int | None:
+    """Fill ``row`` from the canonical lines of its level at ``data[pos:]``.
+
+    Returns the offset after the level, or None where a line is not
+    canonical. A run is a maximal stretch of nil lines or of value lines;
+    a value line's digest never starts with ``n``, so that one column
+    marks where each run ends.
+    """
+    index = 0
+    while index < len(row):
+        left = len(row) - index
+        nil = data.startswith(_NIL_TAIL, pos + level)
+        width = level + 5 if nil else level + 2 + 2 * size
+        firsts = data[pos + level + 1 : pos + left * width : width]
+        if nil:
+            count = len(firsts) - len(firsts.lstrip(b"n"))
+        else:
+            count = firsts.find(b"n")
+            count = len(firsts) if count < 0 else count
+        if not count:
+            return None
+        end = pos + count * width
+        for j in range(level):  # digit j of a coordinate flips every 2^(level-1-j) lines
+            if data[pos + j : end : width] != _coord_column(level - 1 - j, index, count):
+                return None
+        tail = enumerate(_NIL_TAIL, level) if nil else zip((level, width - 1), b" \n")
+        for offset, char in tail:
+            if data[pos + offset : end : width] != bytes((char,)) * count:
+                return None
+        if not nil:
+            block = data[pos:end]
+            if level & 1:  # fromhex reads digit pairs: blank one digit of an odd-length coordinate
+                block = bytearray(block)
+                block[::width] = b" " * count
+            try:
+                raw = bytes.fromhex(block.decode("ascii"))
+            except ValueError:
+                return None
+            # the coordinate digits decode to ``pad`` bytes that the unpack skips;
+            # whitespace in a digest field shortens it, anything else but hex raised
+            pad = level // 2
+            if len(raw) != count * (pad + size):
+                return None
+            row[index : index + count] = map(_FIRST, struct.iter_unpack(f"{pad}x{size}s", raw))
+        index += count
+        pos = end
+    return pos
+
+
+def _coord_column(shift: int, start: int, count: int) -> bytes:
+    """Bit ``shift`` of each index start..start+count-1, as ASCII digits."""
+    half = 1 << shift
+    offset = start & (2 * half - 1)
+    periods = (offset + count + 2 * half - 1) // (2 * half)
+    return ((b"0" * half + b"1" * half) * periods)[offset : offset + count]

@@ -306,6 +306,14 @@ class TestScaIssue:
         with pytest.raises(ValueError, match="mode must be"):
             sca_for(platform, "01", "Concealed", pca)
 
+    def test_mode_mistyped_after_construction_issues_nothing(self, rng, aik, pca):
+        platform = certified_platform(rng, aik, pca)
+        sca = sca_for(platform, "01", "concealed", pca)
+        sca.mode = "Concealed"
+        quote = platform.quote_node("01", sca.issue_nonce())
+        with pytest.raises(ValueError, match="^mode must be 'revealed' or 'concealed', got 'Concealed'$"):
+            sca.verify_and_issue(build_attestation_package(quote, aik.public))
+
     @pytest.mark.parametrize(
         "tamper, detail",
         [

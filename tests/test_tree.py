@@ -19,6 +19,7 @@ from oracle import (
 from treepcr import (
     NIL,
     SHA1,
+    SHA256,
     Digest,
     SmlTree,
     build_reduced_tree,
@@ -36,6 +37,7 @@ from treepcr import (
     sibling_coord,
     trace_coords,
 )
+from treepcr import tree as tree_module
 from treepcr.encoding import EncodingError
 from treepcr.tree import MAX_DEPTH
 
@@ -275,6 +277,19 @@ class TestSerialization:
         assert doc.root_value.value == root
         assert recompute_root(doc.tree) == doc.root_value
 
+    def test_golden_file_parses_to_its_platform(self):
+        leaves = [hashlib.sha1(b"component-%d" % i).digest() for i in range(1, 5)]
+        assert parse_sml(GOLDEN.read_bytes()) == make_platform(leaves, 2).to_document()
+
+    @pytest.mark.parametrize("config, count", [(SHA256, 4096), (SHA1, 2500)], ids=["complete-sha256", "partial-sha1"])
+    def test_round_trip_at_depth_12(self, rng, config, count):
+        platform = make_platform(random_leaves(rng, 12, config.algorithm, count=count), 12, config=config)
+        doc = platform.to_document()
+        data = serialize_sml(doc.tree, doc.root_value, doc.root_state)
+        parsed = parse_sml(data)
+        assert parsed == doc
+        assert serialize_sml(parsed.tree, parsed.root_value, parsed.root_state) == data
+
 
 # -- the per-level storage against brute force over build_full_tree dicts ------
 
@@ -438,3 +453,106 @@ class TestLevelStorage:
         assert peak < 2**20
         with pytest.raises(EncodingError, match="^line 1: leaf count 1048577 out of range$"):
             parse_sml(header.replace(b"leaves=0", b"leaves=1048577"))
+
+
+# -- the run parse of canonical logs against the line parse ------------------
+
+
+def sample_log(rng, depth, config, shape):
+    """A serialized log: complete, partial (open), or with one subtree blanked by an update."""
+    capacity = 1 << depth
+    count = capacity if shape == "complete" else rng.randint(1, max(1, capacity - 1))
+    platform = make_platform(random_leaves(rng, depth, config.algorithm, count=count), depth, config=config)
+    if shape == "blanked":
+        level = rng.randint(1, max(1, depth - 1))
+        coord = format(rng.randrange(1 << level), f"0{level}b")
+        assert platform.verified_update(coord, Digest(rng.randbytes(config.size))) is not None
+    doc = platform.to_document()
+    return serialize_sml(doc.tree, doc.root_value, doc.root_state)
+
+
+#: line breaks splitlines() knows, whitespace, digits and letters of each field
+STRUCTURAL_BYTES = b"\n\r\x0b\x0c\x1c\t 01aAgn\x80"
+MUTATIONS = ("none", "flip", "delete", "insert", "crlf-one", "crlf-all", "upper", "swap", "truncate")
+
+
+def mutate(data, kind, draw):
+    """At most one edit of a serialized log."""
+    lines = data.split(b"\n")[:-1]  # the header, then one entry per node line
+    if kind == "none":
+        return data
+    if kind == "crlf-all":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "crlf-one":
+        lines[draw(st.integers(0, len(lines) - 1))] += b"\r"
+    elif kind == "upper":
+        values = [k for k in range(1, len(lines)) if not lines[k].endswith(b" nil")]
+        if not values:
+            return data
+        k = draw(st.sampled_from(values))
+        coord, token = lines[k].split(b" ")
+        lines[k] = coord + b" " + token.upper()
+    elif kind == "swap":
+        j, k = draw(st.lists(st.integers(1, len(lines) - 1), min_size=2, max_size=2, unique=True))
+        lines[j], lines[k] = lines[k], lines[j]
+    else:
+        i = draw(st.integers(0, len(data) - 1))
+        if kind == "flip":
+            byte = draw(st.sampled_from(STRUCTURAL_BYTES) | st.integers(0, 255)).to_bytes(1, "big")
+            return data[:i] + byte + data[i + 1 :]
+        if kind == "delete":
+            return data[:i] + data[i + 1 :]
+        if kind == "insert":
+            return data[:i] + draw(st.sampled_from([b" ", b"\t"])) + data[i:]
+        return data[:i]  # truncate
+    return b"\n".join(lines) + b"\n"
+
+
+def parse_outcome(parse, data):
+    try:
+        return parse(data)
+    except Exception as exc:  # noqa: BLE001 - both parses must fail alike, whatever the type
+        return type(exc), str(exc)
+
+
+class TestRunParse:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        depth=st.integers(min_value=1, max_value=8),
+        config=st.sampled_from([SHA1, SHA256]),
+        shape=st.sampled_from(["complete", "partial", "blanked"]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        mutation=st.sampled_from(MUTATIONS),
+        data=st.data(),
+    )
+    def test_run_parse_matches_line_parse(self, depth, config, shape, seed, mutation, data):
+        log = mutate(sample_log(random.Random(seed), depth, config, shape), mutation, data.draw)
+        assert parse_outcome(parse_sml, log) == parse_outcome(tree_module._parse_lines, log)
+
+    @pytest.mark.parametrize("shape", ["complete", "partial", "blanked"])
+    def test_every_small_edit_parses_alike(self, shape):
+        # each byte of a depth-3 log replaced by each structural byte, and each
+        # byte pair blanked (two spaces can keep a digest field's hex even)
+        log = sample_log(random.Random(shape), 3, SHA1, shape)
+        edits = [(i, bytes([b])) for i in range(len(log)) for b in STRUCTURAL_BYTES if b != log[i]]
+        edits += [(i, b"  ") for i in range(len(log) - 1)]
+        for i, new in edits:
+            edited = log[:i] + new + log[i + len(new) :]
+            assert parse_outcome(parse_sml, edited) == parse_outcome(tree_module._parse_lines, edited), (i, new)
+
+    def test_canonical_logs_never_fall_back(self, rng, monkeypatch):
+        complete = make_platform(random_leaves(rng, 10, count=1024), 10)
+        partial = make_platform(random_leaves(rng, 10, count=700), 10)
+        blanked = make_platform(random_leaves(rng, 10, count=900), 10)
+        assert blanked.verified_update("0110", Digest(random_digest(rng))) is not None
+
+        def refuse(data):
+            raise AssertionError("a canonical log fell back to the line parse")
+
+        monkeypatch.setattr(tree_module, "_parse_lines", refuse)
+        for platform in (complete, partial, blanked):
+            doc = platform.to_document()
+            data = serialize_sml(doc.tree, doc.root_value, doc.root_state)
+            parsed = parse_sml(data)
+            assert parsed == doc
+            assert serialize_sml(parsed.tree, parsed.root_value, parsed.root_state) == data
