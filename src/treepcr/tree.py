@@ -27,10 +27,11 @@ trace by index. The platform hands those raw values to the device;
 ``parse_sml`` reads a canonical log as fixed-width runs per level: a level
 is a few runs of equal-width value or nil lines (one run when complete), and
 each run is checked column by column with stride slices and hex-decoded in
-one call, with no Python work per line. Any other input is re-read from
-line 1 by ``_parse_lines``, the per-line parse, which is the fallback and
-the one source of error messages and line numbers; both read the header
-with ``_parse_header``.
+one call, with no Python work per line and bytes read in proportion to its
+lines. Any other input, and a level of more than ``_MAX_RUNS`` runs, is
+re-read from line 1 by ``_parse_lines``, the per-line parse, which is the
+fallback and the one source of error messages and line numbers; both read
+the header with ``_parse_header``.
 """
 
 from __future__ import annotations
@@ -460,6 +461,9 @@ def _parse_lines(data: bytes) -> SmlDocument:
 
 
 _NIL_TAIL = b" nil\n"
+#: runs per level past which a log is left to the line parse: many short runs
+#: cost more Python work each than the lines they hold
+_MAX_RUNS = 64
 _FIRST = itemgetter(0)
 
 
@@ -500,21 +504,19 @@ def _parse_level(data: bytes, pos: int, level: int, size: int, row: list[bytes |
     """Fill ``row`` from the canonical lines of its level at ``data[pos:]``.
 
     Returns the offset after the level, or None where a line is not
-    canonical. A run is a maximal stretch of nil lines or of value lines;
-    a value line's digest never starts with ``n``, so that one column
-    marks where each run ends.
+    canonical or the level splits into more than ``_MAX_RUNS`` runs. A run
+    is a maximal stretch of nil lines or of value lines; a value line's
+    digest never starts with ``n``, so that one column marks where each run
+    ends. Each run costs bytes in proportion to its lines, and the cap on
+    runs bounds the Python work per level.
     """
     index = 0
-    while index < len(row):
-        left = len(row) - index
+    for _ in range(_MAX_RUNS):
+        if index == len(row):
+            break
         nil = data.startswith(_NIL_TAIL, pos + level)
         width = level + 5 if nil else level + 2 + 2 * size
-        firsts = data[pos + level + 1 : pos + left * width : width]
-        if nil:
-            count = len(firsts) - len(firsts.lstrip(b"n"))
-        else:
-            count = firsts.find(b"n")
-            count = len(firsts) if count < 0 else count
+        count = _run_length(data, pos + level + 1, width, len(row) - index, nil)
         if not count:
             return None
         end = pos + count * width
@@ -542,12 +544,37 @@ def _parse_level(data: bytes, pos: int, level: int, size: int, row: list[bytes |
             row[index : index + count] = map(_FIRST, struct.iter_unpack(f"{pad}x{size}s", raw))
         index += count
         pos = end
-    return pos
+    return pos if index == len(row) else None
+
+
+def _run_length(data: bytes, first: int, width: int, limit: int, nil: bool) -> int:
+    """How many lines, up to ``limit``, from the line whose marker byte is at
+    ``data[first]``, have a nil marker (``n``) if ``nil`` and a value marker if
+    not. The window read doubles each time it is all one kind, so the bytes
+    read stay within a constant factor of the answer."""
+    count, window = 0, 16
+    while count < limit:
+        window = min(2 * window, limit - count)
+        markers = data[first + count * width : first + (count + window) * width : width]
+        if nil:
+            found = len(markers) - len(markers.lstrip(b"n"))
+        else:
+            found = markers.find(b"n")
+            found = len(markers) if found < 0 else found
+        count += found
+        if found < window:
+            break
+    return count
 
 
 def _coord_column(shift: int, start: int, count: int) -> bytes:
-    """Bit ``shift`` of each index start..start+count-1, as ASCII digits."""
+    """Bit ``shift`` of each index start..start+count-1, as ASCII digits,
+    built in bytes proportional to ``count``."""
     half = 1 << shift
-    offset = start & (2 * half - 1)
-    periods = (offset + count + 2 * half - 1) // (2 * half)
-    return ((b"0" * half + b"1" * half) * periods)[offset : offset + count]
+    if half < count:
+        offset = start & (2 * half - 1)
+        return ((b"0" * half + b"1" * half) * ((offset + count) // (2 * half) + 1))[offset : offset + count]
+    # the lines span at most the end of one block of equal digits and the start of the next
+    head = min(count, half - (start & (half - 1)))
+    digits = b"10" if start >> shift & 1 else b"01"
+    return digits[:1] * head + digits[1:] * (count - head)

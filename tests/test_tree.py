@@ -269,6 +269,7 @@ class TestSerialization:
         platform = make_platform(leaves, 2)
         doc = platform.to_document()
         assert serialize_sml(doc.tree, doc.root_value, doc.root_state) == data
+        assert parse_sml(data) == doc
 
     def test_golden_root_matches_oracle(self):
         leaves = [hashlib.sha1(b"component-%d" % i).digest() for i in range(1, 5)]
@@ -276,10 +277,6 @@ class TestSerialization:
         doc = parse_sml(GOLDEN.read_bytes())
         assert doc.root_value.value == root
         assert recompute_root(doc.tree) == doc.root_value
-
-    def test_golden_file_parses_to_its_platform(self):
-        leaves = [hashlib.sha1(b"component-%d" % i).digest() for i in range(1, 5)]
-        assert parse_sml(GOLDEN.read_bytes()) == make_platform(leaves, 2).to_document()
 
     @pytest.mark.parametrize("config, count", [(SHA256, 4096), (SHA1, 2500)], ids=["complete-sha256", "partial-sha1"])
     def test_round_trip_at_depth_12(self, rng, config, count):
@@ -556,3 +553,23 @@ class TestRunParse:
             parsed = parse_sml(data)
             assert parsed == doc
             assert serialize_sml(parsed.tree, parsed.root_value, parsed.root_state) == data
+
+    def test_many_short_runs_fall_back_after_a_bounded_number(self, monkeypatch):
+        # a leaf level of alternating value and nil lines is canonical but
+        # 2^depth runs of one line each: the run parse must give up early
+        depth = 14
+        tree = SmlTree(depth, SHA1)
+        tree._levels[depth][::2] = [bytes(range(20))] * (1 << (depth - 1))
+        data = serialize_sml(tree)
+        runs = []
+        run_length = tree_module._run_length
+
+        def counting(*args):
+            runs.append(args)
+            return run_length(*args)
+
+        monkeypatch.setattr(tree_module, "_run_length", counting)
+        parsed = parse_sml(data)
+        assert len(runs) <= 256  # of the 16397 runs in the log
+        assert parsed == tree_module._parse_lines(data)
+        assert parsed.tree == tree
