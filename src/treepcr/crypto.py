@@ -10,10 +10,17 @@ device a value is raw ``bytes``, or None for nil. ``extend_raw`` is the one
 nil-unit rule for raw values (``HashConfig.extend`` and ``chiral_extend``
 wrap it), and ``HashConfig.check_raw`` is the one length rule, checked once
 where a value enters (``HashConfig.check`` wraps it for public digests).
+
+``verify`` is the one signature check, for quotes, subtree and identity
+certificates and reference values alike. It caches each Ed25519 result on
+the exact bytes checked (key, signature, signed blob), at most
+``VERIFY_CACHE_SIZE`` (1,024) entries, least recently used first out, so
+a credential checked again costs a lookup, not a second verify.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -27,6 +34,9 @@ _SIZES = {name: new().digest_size for name, new in _HASHERS.items()}
 
 #: fixed strings allowed inside signed blobs
 SIGN_TAGS = ("QUOT", "TREEQUOT", "REDTREEQUOT", "CERT")
+
+#: how many Ed25519 results ``verify`` keeps
+VERIFY_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,11 +212,16 @@ def sign(key: SigningKey, tag: str, payload: bytes, nonce: bytes = b"") -> bytes
     return key._private.sign(_signing_blob(tag, payload, nonce))
 
 
-def verify(key: VerifyingKey, tag: str, payload: bytes, nonce: bytes, signature: bytes) -> bool:
-    """True iff the signature matches the canonical blob under ``key``."""
-    blob = _signing_blob(tag, payload, nonce)
+@functools.lru_cache(maxsize=VERIFY_CACHE_SIZE)
+def _ed25519_valid(public_raw: bytes, signature: bytes, blob: bytes) -> bool:
+    """One Ed25519 check of exact bytes; a pure predicate, so its result is cached."""
     try:
-        ed25519.Ed25519PublicKey.from_public_bytes(key.raw).verify(signature, blob)
+        ed25519.Ed25519PublicKey.from_public_bytes(public_raw).verify(signature, blob)
     except (InvalidSignature, ValueError):
         return False
     return True
+
+
+def verify(key: VerifyingKey, tag: str, payload: bytes, nonce: bytes, signature: bytes) -> bool:
+    """True iff the signature matches the canonical blob under ``key``."""
+    return _ed25519_valid(key.raw, signature, _signing_blob(tag, payload, nonce))

@@ -7,6 +7,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from treepcr import Digest, Platform, SHA1
+from treepcr.crypto import _ed25519_valid
+
+
+@pytest.fixture(autouse=True)
+def cold_signature_cache():
+    """Each test starts with no cached Ed25519 result, so test order cannot
+    change how many checks a test counts."""
+    _ed25519_valid.cache_clear()
 
 
 @pytest.fixture

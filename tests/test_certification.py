@@ -27,6 +27,7 @@ from treepcr.certification import (
     verify_ref_value,
     verify_subtree_certificate,
 )
+from treepcr.crypto import _ed25519_valid
 from treepcr.encoding import EncodingError, pack_fields, unpack_fields
 from treepcr.engine import refold_reduced_quote, verify_quote
 from treepcr.protocol import ProtocolError, certify_subtree, make_validation_bundle
@@ -629,6 +630,68 @@ class TestValidatorRejections:
         bundle = dataclasses.replace(bundle, **changes(platform, bundle, nonce))
         result = validate_subtree(bundle, sca_pub=sca.public, nonce=nonce, pca_pub=pca.public)
         assert not result.accepted and result.reason == reason
+
+
+class TestSignatureCache:
+    """A credential checked again costs one Ed25519 check, its fresh quote,
+    and every reject reason still holds after a cached success."""
+
+    def _credential(self, rng, aik, pca, mode):
+        platform = certified_platform(rng, aik, pca)
+        sca = sca_for(platform, "01", mode, pca)
+        return platform, sca, certify_subtree(platform, sca, "01", layout="full")
+
+    @pytest.mark.parametrize("mode, once", [("revealed", 2), ("concealed", 1)])
+    def test_repeated_validation_checks_only_the_fresh_quote(self, rng, aik, pca, mode, once):
+        platform, sca, credential = self._credential(rng, aik, pca, mode)
+        _ed25519_valid.cache_clear()
+        for _ in range(12):
+            nonce = secrets.token_bytes(16)
+            bundle = make_validation_bundle(platform, credential, nonce)
+            assert validate_subtree(bundle, sca_pub=sca.public, nonce=nonce).accepted
+        assert _ed25519_valid.cache_info().misses == 12 + once
+
+    @pytest.mark.parametrize(
+        "mode, changes, reason",
+        [
+            ("revealed", lambda b, key: {"certificate": issue_subtree_certificate(
+                key, b.manifest, quote=b.original_quote)}, "certificate-signature"),
+            ("concealed", lambda b, key: {"certificate": issue_subtree_certificate(
+                key, b.manifest, bind=b.certificate.bind)}, "certificate-signature"),
+            ("revealed", lambda b, key: {"original_quote": dataclasses.replace(
+                b.original_quote, signature=bytes([b.original_quote.signature[0] ^ 1])
+                + b.original_quote.signature[1:])}, "original-quote-signature"),
+        ],
+        ids=["revealed-swapped-certificate", "concealed-swapped-certificate", "flipped-original-quote"],
+    )
+    def test_reject_reasons_after_a_cached_success(self, rng, aik, pca, mode, changes, reason):
+        platform, sca, credential = self._credential(rng, aik, pca, mode)
+        nonce = secrets.token_bytes(16)
+        bundle = make_validation_bundle(platform, credential, nonce)
+        assert validate_subtree(bundle, sca_pub=sca.public, nonce=nonce).accepted
+        other_key = SigningKey.from_seed(b"\x0c" * 32)
+        tampered = dataclasses.replace(bundle, **changes(bundle, other_key))
+        result = validate_subtree(tampered, sca_pub=sca.public, nonce=nonce)
+        assert not result.accepted and result.reason == reason
+        assert validate_subtree(bundle, sca_pub=sca.public, nonce=nonce).accepted
+
+    @pytest.mark.parametrize("mode", ["revealed", "concealed"])
+    def test_stale_nonce_after_a_cached_success(self, rng, aik, pca, mode):
+        platform, sca, credential = self._credential(rng, aik, pca, mode)
+        nonce = secrets.token_bytes(16)
+        bundle = make_validation_bundle(platform, credential, nonce)
+        assert validate_subtree(bundle, sca_pub=sca.public, nonce=nonce).accepted
+        result = validate_subtree(bundle, sca_pub=sca.public, nonce=secrets.token_bytes(16))
+        assert not result.accepted and result.reason == "freshness"
+
+    def test_replayed_quote_hits_the_cache_and_is_refused(self, rng, aik, pca):
+        platform = certified_platform(rng, aik, pca)
+        sca = sca_for(platform, "01", "revealed", pca)
+        package = build_attestation_package(platform.quote_node("01", sca.issue_nonce()), aik.public)
+        assert sca.verify_and_issue(package).status == OK
+        hits = _ed25519_valid.cache_info().hits
+        assert sca.verify_and_issue(package).status == REJECT_FRESHNESS
+        assert _ed25519_valid.cache_info().hits == hits + 1
 
 
 class TestSignedEncodings:

@@ -1,11 +1,13 @@
 import hashlib
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracle import oracle_extend
 from treepcr import NIL, SHA1, SHA256, Digest, SigningKey, parse_digest, sign, verify
-from treepcr.crypto import digest_from_wire, digest_to_wire
+from treepcr.crypto import VERIFY_CACHE_SIZE, _ed25519_valid, digest_from_wire, digest_to_wire
 
 digests = st.binary(min_size=20, max_size=20).map(Digest)
 maybe_nil = st.one_of(st.just(NIL), digests)
@@ -140,3 +142,79 @@ def test_seed_round_trip_and_fingerprint():
     again = SigningKey.from_seed(key.seed())
     assert again.public == key.public
     assert key.public.fingerprint() == hashlib.sha256(key.public.raw).digest()
+
+
+CACHED_KEY = SigningKey.from_seed(b"\x07" * 32)
+CACHED = dict(key=CACHED_KEY.public, tag="QUOT", payload=b"payload", nonce=b"nonce",
+              signature=sign(CACHED_KEY, "QUOT", b"payload", b"nonce"))
+
+
+def test_repeated_verify_runs_one_ed25519_check():
+    assert all(verify(**CACHED) for _ in range(10))
+    info = _ed25519_valid.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("key", SigningKey.from_seed(b"\x08" * 32).public),
+        ("tag", "TREEQUOT"),
+        ("payload", b"qayload"),
+        ("nonce", b"nonce2"),
+        ("signature", bytes([CACHED["signature"][0] ^ 1]) + CACHED["signature"][1:]),
+    ],
+)
+def test_changed_field_after_cached_success_is_checked_afresh(field, value):
+    assert verify(**CACHED) and verify(**CACHED)
+    misses = _ed25519_valid.cache_info().misses
+    assert not verify(**{**CACHED, field: value})
+    assert _ed25519_valid.cache_info().misses == misses + 1
+    assert verify(**CACHED)
+
+
+def test_signature_cache_is_bounded():
+    key = SigningKey.from_seed(b"\x07" * 32)
+    sig = sign(key, "CERT", b"payload", b"")
+    for i in range(2000):
+        verify(key.public, "CERT", i.to_bytes(2, "big"), b"", sig)
+        assert _ed25519_valid.cache_info().currsize <= VERIFY_CACHE_SIZE
+    info = _ed25519_valid.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (VERIFY_CACHE_SIZE, VERIFY_CACHE_SIZE, 2000)
+
+
+def test_concurrent_verifies_match_serial_answers():
+    keys = [SigningKey.from_seed(bytes([i]) * 32) for i in range(1, 5)]
+    cases = []
+    for i, key in enumerate(keys):
+        sig = sign(key, "QUOT", b"p%d" % i, b"n")
+        cases.append((key.public, "QUOT", b"p%d" % i, b"n", sig))
+        cases.append((key.public, "QUOT", b"p%d" % i, b"m", sig))
+        cases.append((keys[i - 1].public, "QUOT", b"p%d" % i, b"n", sig))
+    serial = [verify(*case) for case in cases]
+    assert serial.count(True) == len(keys)
+    _ed25519_valid.cache_clear()
+    barrier = threading.Barrier(8)
+    answers = []
+
+    def check(offset):
+        barrier.wait(timeout=30)
+        for _ in range(20):
+            got = [None] * len(cases)
+            for n in range(len(cases)):  # each thread starts at its own case
+                i = (offset + n) % len(cases)
+                got[i] = verify(*cases[i])
+            answers.append(got)
+
+    threads = [threading.Thread(target=check, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(answers) == 8 * 20 and all(got == serial for got in answers)
