@@ -13,15 +13,18 @@ where a value enters (``HashConfig.check`` wraps it for public digests).
 
 ``verify`` is the one signature check, for quotes, subtree and identity
 certificates and reference values alike. It caches each Ed25519 result on
-the exact bytes checked (key, signature, signed blob), at most
-``VERIFY_CACHE_SIZE`` (1,024) entries, least recently used first out, so
-a credential checked again costs a lookup, not a second verify.
+the exact bytes checked: the key, the signature and the SHA-256 of the
+signed blob, never the blob itself, so every entry is 128 bytes whatever a
+sender put in the payload or nonce. At most ``VERIFY_CACHE_SIZE`` (1,024)
+entries are kept, least recently used first out, so a signature checked
+again in the same process costs a lookup, not a second verify.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -37,6 +40,9 @@ SIGN_TAGS = ("QUOT", "TREEQUOT", "REDTREEQUOT", "CERT")
 
 #: how many Ed25519 results ``verify`` keeps
 VERIFY_CACHE_SIZE = 1024
+
+#: Ed25519 key and signature sizes; no other length can verify
+_KEY_SIZE, _SIGNATURE_SIZE = 32, 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,9 +218,8 @@ def sign(key: SigningKey, tag: str, payload: bytes, nonce: bytes = b"") -> bytes
     return key._private.sign(_signing_blob(tag, payload, nonce))
 
 
-@functools.lru_cache(maxsize=VERIFY_CACHE_SIZE)
 def _ed25519_valid(public_raw: bytes, signature: bytes, blob: bytes) -> bool:
-    """One Ed25519 check of exact bytes; a pure predicate, so its result is cached."""
+    """One Ed25519 check of exact bytes."""
     try:
         ed25519.Ed25519PublicKey.from_public_bytes(public_raw).verify(signature, blob)
     except (InvalidSignature, ValueError):
@@ -222,6 +227,27 @@ def _ed25519_valid(public_raw: bytes, signature: bytes, blob: bytes) -> bool:
     return True
 
 
+#: Ed25519 results by key + signature + SHA-256 of the blob, oldest use first
+_verified: OrderedDict[bytes, bool] = OrderedDict()
+_verified_lock = threading.Lock()
+
+
 def verify(key: VerifyingKey, tag: str, payload: bytes, nonce: bytes, signature: bytes) -> bool:
     """True iff the signature matches the canonical blob under ``key``."""
-    return _ed25519_valid(key.raw, signature, _signing_blob(tag, payload, nonce))
+    blob = _signing_blob(tag, payload, nonce)
+    if len(key.raw) != _KEY_SIZE or len(signature) != _SIGNATURE_SIZE:
+        return False
+    # fixed widths, so the concatenation is unambiguous; SHA-256 collision
+    # resistance makes the digest as good a key as the blob
+    entry = key.raw + signature + hashlib.sha256(blob).digest()
+    with _verified_lock:
+        valid = _verified.get(entry)
+        if valid is not None:
+            _verified.move_to_end(entry)
+            return valid
+    valid = _ed25519_valid(key.raw, signature, blob)
+    with _verified_lock:
+        _verified[entry] = valid
+        if len(_verified) > VERIFY_CACHE_SIZE:
+            _verified.popitem(last=False)
+    return valid

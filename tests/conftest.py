@@ -7,14 +7,28 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from treepcr import Digest, Platform, SHA1
-from treepcr.crypto import _ed25519_valid
+from treepcr import crypto
 
 
 @pytest.fixture(autouse=True)
 def cold_signature_cache():
     """Each test starts with no cached Ed25519 result, so test order cannot
     change how many checks a test counts."""
-    _ed25519_valid.cache_clear()
+    crypto._verified.clear()
+
+
+@pytest.fixture
+def ed25519_checks(monkeypatch):
+    """The signature of every Ed25519 check run, in order."""
+    checks = []
+    check = crypto._ed25519_valid
+
+    def counted(public_raw, signature, blob):
+        checks.append(signature)
+        return check(public_raw, signature, blob)
+
+    monkeypatch.setattr(crypto, "_ed25519_valid", counted)
+    return checks
 
 
 @pytest.fixture

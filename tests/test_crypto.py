@@ -1,13 +1,15 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracle import oracle_extend
 from treepcr import NIL, SHA1, SHA256, Digest, SigningKey, parse_digest, sign, verify
-from treepcr.crypto import VERIFY_CACHE_SIZE, _ed25519_valid, digest_from_wire, digest_to_wire
+from treepcr import crypto
+from treepcr.crypto import VERIFY_CACHE_SIZE, digest_from_wire, digest_to_wire
 
 digests = st.binary(min_size=20, max_size=20).map(Digest)
 maybe_nil = st.one_of(st.just(NIL), digests)
@@ -149,10 +151,9 @@ CACHED = dict(key=CACHED_KEY.public, tag="QUOT", payload=b"payload", nonce=b"non
               signature=sign(CACHED_KEY, "QUOT", b"payload", b"nonce"))
 
 
-def test_repeated_verify_runs_one_ed25519_check():
+def test_repeated_verify_runs_one_ed25519_check(ed25519_checks):
     assert all(verify(**CACHED) for _ in range(10))
-    info = _ed25519_valid.cache_info()
-    assert (info.misses, info.hits) == (1, 9)
+    assert len(ed25519_checks) == 1
 
 
 @pytest.mark.parametrize(
@@ -165,22 +166,56 @@ def test_repeated_verify_runs_one_ed25519_check():
         ("signature", bytes([CACHED["signature"][0] ^ 1]) + CACHED["signature"][1:]),
     ],
 )
-def test_changed_field_after_cached_success_is_checked_afresh(field, value):
+def test_changed_field_after_cached_success_is_checked_afresh(ed25519_checks, field, value):
     assert verify(**CACHED) and verify(**CACHED)
-    misses = _ed25519_valid.cache_info().misses
+    assert len(ed25519_checks) == 1
     assert not verify(**{**CACHED, field: value})
-    assert _ed25519_valid.cache_info().misses == misses + 1
+    assert len(ed25519_checks) == 2
     assert verify(**CACHED)
 
 
-def test_signature_cache_is_bounded():
+def test_signature_cache_is_bounded(ed25519_checks):
     key = SigningKey.from_seed(b"\x07" * 32)
     sig = sign(key, "CERT", b"payload", b"")
     for i in range(2000):
         verify(key.public, "CERT", i.to_bytes(2, "big"), b"", sig)
-        assert _ed25519_valid.cache_info().currsize <= VERIFY_CACHE_SIZE
-    info = _ed25519_valid.cache_info()
-    assert (info.maxsize, info.currsize, info.misses) == (VERIFY_CACHE_SIZE, VERIFY_CACHE_SIZE, 2000)
+        assert len(crypto._verified) <= VERIFY_CACHE_SIZE
+    assert (len(crypto._verified), len(ed25519_checks)) == (VERIFY_CACHE_SIZE, 2000)
+
+
+def test_cache_keeps_none_of_a_large_nonce(ed25519_checks):
+    key = SigningKey.from_seed(b"\x07" * 32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(8):
+            nonce = bytes([i]) * (1 << 20)
+            assert verify(key.public, "QUOT", b"payload", nonce, sign(key, "QUOT", b"payload", nonce))
+            assert not verify(key.public, "QUOT", b"payload", nonce, bytes(64))
+            del nonce
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ed25519_checks) == 16
+    assert len(crypto._verified) == 16 and all(len(entry) == 128 for entry in crypto._verified)
+    assert kept < 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "key, signature",
+    [
+        (CACHED["key"], CACHED["signature"] * (1 << 14)),  # a 1 MiB signature
+        (CACHED["key"], CACHED["signature"][:63]),
+        (crypto.VerifyingKey(CACHED["key"].raw + b"\x00"), CACHED["signature"]),
+        (crypto.VerifyingKey(b"\x00" * (1 << 20)), CACHED["signature"]),
+    ],
+    ids=["1mib-signature", "short-signature", "long-key", "1mib-key"],
+)
+def test_wrong_sized_key_or_signature_is_refused_before_the_cache(ed25519_checks, key, signature):
+    assert not verify(key, "QUOT", b"payload", b"nonce", signature)
+    assert ed25519_checks == [] and len(crypto._verified) == 0
+    with pytest.raises(ValueError, match="unknown signing tag"):
+        verify(key, "XQUOT", b"payload", b"nonce", signature)
 
 
 def test_concurrent_verifies_match_serial_answers():
@@ -193,7 +228,7 @@ def test_concurrent_verifies_match_serial_answers():
         cases.append((keys[i - 1].public, "QUOT", b"p%d" % i, b"n", sig))
     serial = [verify(*case) for case in cases]
     assert serial.count(True) == len(keys)
-    _ed25519_valid.cache_clear()
+    crypto._verified.clear()
     barrier = threading.Barrier(8)
     answers = []
 

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_platform
 from oracle import random_leaves
-from treepcr import NodeRef, SHA1, SigningKey, extract_subtree, serialize_sml
+from treepcr import NodeRef, SHA1, SigningKey, crypto, extract_subtree, serialize_sml
 from treepcr.certification import (
     AttestationPackage,
     IssuePackage,
@@ -23,7 +23,7 @@ from treepcr.discovery import DiscoveryData
 from treepcr.encoding import EncodingError, pack_fields, pack_u32, unpack_fields
 from treepcr.engine import Quote
 from treepcr.protocol import certify_subtree, make_validation_bundle
-from treepcr.sca import OK, REJECT_PACKAGE, REJECT_SUBTREE, PassiveResult, PolicyTable, SubtreeCa
+from treepcr.sca import OK, REJECT_PACKAGE, REJECT_SIGNATURE, REJECT_SUBTREE, PassiveResult, PolicyTable, SubtreeCa
 from treepcr.tree import MAX_DEPTH
 from treepcr.validator import validate_subtree
 from treepcr.wire import (
@@ -297,6 +297,24 @@ class TestService:
             assert got == MSG_NONCE_RESP and len(nonce) == 16
         finally:
             sock.close()
+
+    def test_hostile_quotes_leave_only_fixed_size_cache_entries(self, served):
+        # a nonce or signature near the frame cap must not stay behind in the signature cache
+        platform, _, _, address = served
+        big = 1 << 20
+        with ScaClient(address) as client:
+            quote = platform.quote_node("01", client.issue_nonce())
+            for i in range(4):
+                for forged in (
+                    dataclasses.replace(quote, nonce=bytes([i]) * big),
+                    dataclasses.replace(quote, nonce=bytes([i]) * big, signature=bytes([i]) * 64),
+                    dataclasses.replace(quote, signature=bytes([i]) * big),
+                ):
+                    outcome = client.verify_and_issue(AttestationPackage(forged, platform.aik.public))
+                    assert outcome.status == REJECT_SIGNATURE
+        # two 64-byte-signature quotes per round were checked; the 1 MiB signatures never were
+        assert len(crypto._verified) == 8
+        assert all(len(entry) == 128 for entry in crypto._verified)
 
     def test_client_surfaces_error_frames(self, served):
         _, _, _, address = served
