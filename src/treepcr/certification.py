@@ -25,8 +25,8 @@ from .crypto import (
     verify,
 )
 from .encoding import EncodingError, decode_text, pack_fields, pack_u32, unpack_fields, unpack_u32, untag
-from .engine import Quote, verify_quote
-from .tree import NodeRef, check_coord, leq
+from .engine import Quote
+from .tree import NodeRef, check_coord
 
 REVEALED = "revealed"
 CONCEALED = "concealed"
@@ -323,21 +323,12 @@ def check_dependency_free(entries: list[NodeRef]) -> list[NodeRef]:
     return entries
 
 
-def check_bounded_below(entries: list[NodeRef], coord: str) -> list[NodeRef]:
-    """All entries must sit in the subtree below the certified node."""
-    for entry in entries:
-        if not leq(entry.coord, coord):
-            raise ValueError(f"entry {entry.coord} is outside the subtree at {coord or '<root>'}")
-    return entries
-
-
 def binding_update_set(
     issue: IssuePackage,
     old_node: NodeRef,
     layout: str,
     config: HashConfig,
     depth: int,
-    custom: list[NodeRef] | None = None,
 ) -> list[NodeRef]:
     """Build the log update that binds an issued certificate into the tree.
 
@@ -352,8 +343,6 @@ def binding_update_set(
     """
     coord = old_node.coord
     check_coord(coord, depth, allow_root=True)
-    if custom is not None:
-        return check_bounded_below(check_dependency_free(list(custom)), coord)
     if layout == LAYOUT_EMPTY:
         return []
     if layout != LAYOUT_FULL:
@@ -367,25 +356,8 @@ def binding_update_set(
     ]
 
 
-def build_attestation_package(
-    quote: Quote,
-    aik_pub: VerifyingKey,
-    node_value: Digest | None = None,
-    aik_cert: AikCertificate | None = None,
-    subtree: bytes | None = None,
-    aux: tuple[RefValueCert, ...] = (),
-) -> AttestationPackage:
-    """Assemble the minimal package; verifies the quote locally first."""
-    if not verify_quote(quote, aik_pub):
-        raise ValueError("refusing to package a quote that does not verify locally")
-    return AttestationPackage(
-        quote=quote,
-        aik_pub=aik_pub,
-        node_value=node_value,
-        aik_cert=aik_cert,
-        subtree=subtree,
-        aux=aux,
-    )
+#: the package is its constructor: the authority's admission is the one quote check
+build_attestation_package = AttestationPackage
 
 
 def now() -> int:

@@ -193,7 +193,6 @@ def cmd_certify(args) -> int:
             args.coord,
             layout=args.layout,
             send_aik_cert=bool(args.aik_cert),
-            bulk=args.bulk,
         )
     _save_platform(args.sml, platform)
     if args.credential_out:
@@ -261,6 +260,7 @@ def cmd_sca_serve(args) -> int:
         mode=args.mode,
         config=HashConfig(args.alg),
         pca_pub=_load_pub(args.pca_pub) if args.pca_pub else None,
+        issuance_log=args.log,
     )
     if args.ref_issuer:
         for item in args.ref_issuer:
@@ -272,7 +272,7 @@ def cmd_sca_serve(args) -> int:
             discovery = DiscoveryData.from_text(fh.read(), HashConfig(args.alg))
         sca.leaf_values = {d.value for d in discovery.leaf_values}
     host, port = _address(args.bind)
-    server = ScaServer((host, port), sca, discovery, issuance_log=args.log)
+    server = ScaServer((host, port), sca, discovery)
     record(status="serving", bind=f"{server.server_address[0]}:{server.server_address[1]}", mode=args.mode)
     sys.stdout.flush()
     try:
@@ -347,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aik", required=True)
     p.add_argument("--aik-cert")
     p.add_argument("--layout", default="full", choices=["full", "empty"])
-    p.add_argument("--bulk", action="store_true", help="apply the binding update in bulk")
     p.add_argument("--credential-out")
     p.set_defaults(func=cmd_certify)
 

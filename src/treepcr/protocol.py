@@ -12,20 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certification import (
+    AttestationPackage,
     IssuePackage,
     LAYOUT_EMPTY,
     LAYOUT_FULL,
     Manifest,
     SubtreeCertificate,
     binding_update_set,
-    build_attestation_package,
 )
 from .crypto import Digest, digest_from_wire, digest_to_wire
 from .encoding import EncodingError, decode_text, pack_fields, unpack_fields
 from .engine import Quote
 from .platform import Platform
 from .tree import NodeRef
-from .updates import apply_update_set, apply_update_set_bulk
+from .updates import apply_update_set
 from .validator import BIND_BOUND_ROOT, BIND_NODE, BIND_STAR, ValidationBundle
 
 
@@ -81,7 +81,6 @@ def certify_subtree(
     coord: str,
     layout: str = LAYOUT_FULL,
     send_aik_cert: bool = False,
-    bulk: bool = False,
 ) -> SubtreeCredential:
     """Run all five phases against an issuer (in-process object or client).
 
@@ -95,7 +94,7 @@ def certify_subtree(
         raise ProtocolError("reject-package", "platform could not verify its own node")
     node_value = platform.tree.node(coord) if coord else platform.root()
 
-    package = build_attestation_package(
+    package = AttestationPackage(
         quote,
         platform.aik.public,
         node_value=node_value,
@@ -110,10 +109,7 @@ def certify_subtree(
         issue, NodeRef(coord, node_value), layout, platform.config, platform.depth
     )
     if entries:
-        if bulk:
-            apply_update_set_bulk(entries, platform)
-        else:
-            apply_update_set(entries, platform)
+        apply_update_set(entries, platform)
     return SubtreeCredential(
         coord=coord,
         node_value=node_value,

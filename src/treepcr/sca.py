@@ -7,14 +7,16 @@ success a manifest plus subtree certificate come back. Verification
 misses produce distinct refusal codes rather than exceptions.
 Passive issuance lives here too: ``verify_and_issue`` (one quoted node)
 and ``passive_discover`` (every recognisable node of a quoted subtree
-log) share one quote admission, one identity-certificate policy, one
-log check and one ``_issue``.
+log) share one quote admission (the only check of a submitted quote),
+one identity-certificate policy, one log check and one ``_issue``, which
+writes the one issuance record on every route, in-process or wired.
 """
 
 from __future__ import annotations
 
 import logging
 import secrets
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -137,7 +139,9 @@ class SubtreeCa:
     ref_issuers: dict[str, VerifyingKey] = field(default_factory=dict)
     leaf_values: set[bytes] = field(default_factory=set)
     clock: object = None
+    issuance_log: str | None = None  # append-only file, one line per certificate issued
     _nonces: OrderedDict[bytes, None] = field(default_factory=OrderedDict)
+    _log_lock: threading.Lock = field(default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
         _check_mode(self.mode)
@@ -229,7 +233,11 @@ class SubtreeCa:
             certificate = issue_subtree_certificate(self.key, manifest, bind=aik_pub.fingerprint())
         else:
             certificate = issue_subtree_certificate(self.key, manifest, quote=quote)
-        logger.info("issued %s certificate for %s", mode, subject.to_text())
+        record = f"{manifest.timestamp} {mode} {subject.to_text()} {self.name}"
+        logger.info("issued %s", record)
+        if self.issuance_log is not None:
+            with self._log_lock, open(self.issuance_log, "a", encoding="ascii") as fh:
+                fh.write(record + "\n")
         return IssuePackage(manifest, certificate)
 
     def _leaf_properties(self, subtree: SmlTree, package: AttestationPackage) -> IssueOutcome | Properties:

@@ -4,7 +4,8 @@ Frames are 4-byte big-endian length, one message-type byte, then a
 versioned payload (the canonical serializations of the protocol
 objects). Transport security is an environment concern: the service
 speaks plaintext by default and exposes a channel-wrapper hook where an
-encrypting transport can be slotted in.
+encrypting transport can be slotted in. The service only frames: the
+authority it wraps checks each quote and records each issuance.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .crypto import VerifyingKey, digest_from_wire, digest_to_wire
 from .discovery import DiscoveryData
 from .encoding import EncodingError, decode_text, pack_fields, unpack_fields, untag
 from .engine import Quote
-from .sca import OK, IssueOutcome, PassiveResult, SubtreeCa, passive_discover
+from .sca import IssueOutcome, PassiveResult, SubtreeCa, passive_discover
 from .tree import NodeRef, parse_sml
 
 logger = logging.getLogger(__name__)
@@ -162,7 +163,6 @@ class _Handler(socketserver.BaseRequestHandler):
         if msg_type == MSG_ATTEST:
             package = AttestationPackage.from_bytes(payload)
             outcome = sca.verify_and_issue(package)
-            server.log_issue(outcome)
             return MSG_ATTEST_RESP, pack_fields(
                 outcome.status.encode("ascii"),
                 outcome.detail.encode("utf-8"),
@@ -172,8 +172,6 @@ class _Handler(socketserver.BaseRequestHandler):
             root, subtree_bytes, aik_pub, quote = unpack_passive_request(payload)
             subtree = parse_sml(subtree_bytes).tree
             result = passive_discover(sca, root, subtree, quote=quote, aik_pub=aik_pub)
-            for _, issue in result.certificates:
-                server.log_issue(IssueOutcome(OK, issue))
             return MSG_PASSIVE_RESP, pack_passive_result(result)
         if msg_type == MSG_DISCOVERY:
             return MSG_DISCOVERY_RESP, server.discovery_text().encode("utf-8")
@@ -194,30 +192,16 @@ class ScaServer(socketserver.ThreadingTCPServer):
         sca: SubtreeCa,
         discovery=None,
         channel_wrapper: ChannelWrapper | None = None,
-        issuance_log: str | None = None,
     ) -> None:
         super().__init__(address, _Handler)
         self.sca = sca
         self.discovery = discovery
         self.channel_wrapper = channel_wrapper
-        self.issuance_log = issuance_log
-        self._log_lock = threading.Lock()
 
     def discovery_text(self) -> str:
         if self.discovery is not None:
             return self.discovery.to_text()
         return DiscoveryData(values=frozenset(self.sca.policy.values())).to_text()
-
-    def log_issue(self, outcome: IssueOutcome) -> None:
-        if self.issuance_log is None or outcome.package is None:
-            return
-        manifest = outcome.package.manifest
-        line = (
-            f"{manifest.timestamp} {outcome.package.certificate.mode} "
-            f"{manifest.subject.to_text()} {manifest.issuer}\n"
-        )
-        with self._log_lock, open(self.issuance_log, "a", encoding="ascii") as fh:
-            fh.write(line)
 
 
 def start_server(
@@ -225,10 +209,9 @@ def start_server(
     host: str = "127.0.0.1",
     port: int = 0,
     channel_wrapper: ChannelWrapper | None = None,
-    issuance_log: str | None = None,
 ) -> tuple[ScaServer, threading.Thread, tuple[str, int]]:
     """Spin up a server thread; returns (server, thread, bound address)."""
-    server = ScaServer((host, port), sca, channel_wrapper=channel_wrapper, issuance_log=issuance_log)
+    server = ScaServer((host, port), sca, channel_wrapper=channel_wrapper)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread, server.server_address

@@ -43,6 +43,7 @@ from treepcr.sca import (
     SubtreeCa,
 )
 from treepcr.tree import extract_subtree, serialize_sml
+from treepcr.updates import apply_update_set_bulk
 from treepcr.validator import (
     BIND_BOUND_ROOT,
     BIND_NODE,
@@ -399,19 +400,6 @@ class TestUpdateSetShapes:
         with pytest.raises(ValueError, match="spare levels"):
             binding_update_set(IssuePackage(manifest, cert), NodeRef("01", SHA1.measure(b"s")), "full", SHA1, 3)
 
-    def test_custom_layout_validated(self, aik):
-        manifest = manifest_fixture()
-        cert = issue_subtree_certificate(SigningKey.generate(), manifest, bind=aik.public.fingerprint())
-        issue = IssuePackage(manifest, cert)
-        s_old = NodeRef("01", SHA1.measure(b"s"))
-        x, y = SHA1.measure(b"x"), SHA1.measure(b"y")
-        with pytest.raises(ValueError, match="dependency-free"):
-            binding_update_set(issue, s_old, "full", SHA1, 5, custom=[NodeRef("010", x), NodeRef("0101", y)])
-        with pytest.raises(ValueError, match="outside"):
-            binding_update_set(issue, s_old, "full", SHA1, 5, custom=[NodeRef("10", x)])
-        good = binding_update_set(issue, s_old, "full", SHA1, 5, custom=[NodeRef("010", x), NodeRef("011", y)])
-        assert len(good) == 2
-
 
 class TestEndToEnd:
     def test_revealed_empty_layout_node_binding(self, rng, aik, pca):
@@ -489,12 +477,16 @@ class TestEndToEnd:
         # concealed with a fixed clock, so that both runs issue the same certificate
         leaves = random_leaves(rng, 4, count=16)
         runs = []
-        for bulk in (True, False):
+        for layout in ("empty", "full"):
             platform = make_platform(leaves, 4, aik=aik)
             sca = sca_for(platform, "01", "concealed", pca, clock=lambda: 1_700_000_000)
-            credential = certify_subtree(platform, sca, "01", layout="full", bulk=bulk)
+            credential = certify_subtree(platform, sca, "01", layout=layout)
             runs.append((platform, credential))
         (bulk, bulk_credential), (naive, naive_credential) = runs
+        # the empty run left its log as it was; the issued full binding set goes in as one bulk set
+        issue = IssuePackage(bulk_credential.manifest, bulk_credential.certificate)
+        entries = binding_update_set(issue, NodeRef("01", bulk_credential.node_value), "full", SHA1, 4)
+        apply_update_set_bulk(entries, bulk)
         assert bulk_credential.certificate == naive_credential.certificate
         assert bulk_credential.manifest == naive_credential.manifest
         assert serialize_sml(bulk.tree) == serialize_sml(naive.tree)

@@ -1,15 +1,20 @@
 import hashlib
+import os
 import secrets
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import treepcr
 from oracle import build_full_tree
 from treepcr import SHA1, SigningKey, parse_sml, recompute_root
 from treepcr.cli import main
+from treepcr.discovery import DiscoveryData
 from treepcr.sca import PolicyTable, SubtreeCa
-from treepcr.wire import start_server
+from treepcr.wire import ScaClient, start_server
 
 
 def run(capsys, *argv) -> tuple[int, dict, list[str]]:
@@ -236,3 +241,40 @@ class TestProtocolLoopback:
         run(capsys, "keygen", "--out", key)
         code, rec, _ = run(capsys, "certify", sml, "11", "--sca", address, "--aik", key)
         assert code == 1 and rec["status"] == "refused-unknown-value"
+
+    def test_sca_serve_end_to_end(self, measurements, tmp_path, capsys):
+        sml = str(tmp_path / "deep.sml")
+        assert run(capsys, "tree", "build", measurements, "-d", "3", "-o", sml)[0] == 0
+        module = parse_sml(Path(sml).read_bytes()).tree.node("0")
+        policy = tmp_path / "policy.txt"
+        policy.write_text(f"{module.to_text()} function=served-module\n")
+        discovery = tmp_path / "discovery.txt"
+        discovery.write_text(DiscoveryData(values=frozenset({module})).to_text())
+        for name in ("sca", "ref", "aik"):
+            run(capsys, "keygen", "--out", str(tmp_path / f"{name}.key"))
+        log = tmp_path / "issuance.log"
+        command = [
+            sys.executable, "-m", "treepcr.cli", "sca", "serve", "--bind", "127.0.0.1:0",
+            "--policy", str(policy), "--key", str(tmp_path / "sca.key"), "--name", "served",
+            "--mode", "concealed", "--discovery", str(discovery), "--log", str(log),
+            "--ref-issuer", f"ref:{tmp_path / 'ref.key.pub'}",
+        ]
+        src = str(Path(treepcr.__file__).resolve().parents[1])
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src})
+        try:
+            serving = dict(item.split("=", 1) for item in shlex.split(proc.stdout.readline()))
+            assert serving["status"] == "serving" and serving["mode"] == "concealed"
+            host, _, port = serving["bind"].rpartition(":")
+            with ScaClient((host, int(port))) as client:
+                assert DiscoveryData.from_text(client.discovery_data()) == DiscoveryData.from_text(discovery.read_text())
+            code, rec, _ = run(capsys, "certify", sml, "0", "--sca", serving["bind"], "--aik", str(tmp_path / "aik.key"))
+            assert code == 0 and rec["status"] == "issued"
+            lines = log.read_text().splitlines()
+            assert len(lines) == 1
+            timestamp, mode, subject, issuer = lines[0].split(" ")
+            assert timestamp.isdigit()
+            assert (mode, subject, issuer) == ("concealed", SHA1.measure(module.value).to_text(), "served")
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()

@@ -342,6 +342,16 @@ class TestUpdate:
         with pytest.raises(BindingViolation, match="unknown update session"):
             engine.reduced_tree_update(copied, SHA1.measure(b"v"))
 
+    def test_tampered_session_refused(self, rng):
+        platform = make_platform(random_leaves(rng, 2, count=4), 2)
+        engine = platform.engine
+        loaded = engine.reduced_tree_verify_load(platform.node("01"), platform.reduced("01"), platform.root_reg)
+        before = platform.root(), serialize_sml(platform.tree), engine.vdat()
+        loaded.session.auth = bytes(b ^ 1 for b in loaded.session.auth)
+        with pytest.raises(BindingViolation, match="session authorisation digest mismatch"):
+            engine.reduced_tree_update(loaded.session, SHA1.measure(b"v"))
+        assert (platform.root(), serialize_sml(platform.tree), engine.vdat()) == before
+
     def test_update_trace_matches_refold(self, rng):
         leaves = random_leaves(rng, 3, count=8)
         platform = make_platform(leaves, 3)

@@ -1,7 +1,10 @@
 import dataclasses
 import io
+import itertools
 import secrets
 import socket
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,7 +26,16 @@ from treepcr.discovery import DiscoveryData
 from treepcr.encoding import EncodingError, pack_fields, pack_u32, unpack_fields
 from treepcr.engine import Quote
 from treepcr.protocol import certify_subtree, make_validation_bundle
-from treepcr.sca import OK, REJECT_PACKAGE, REJECT_SIGNATURE, REJECT_SUBTREE, PassiveResult, PolicyTable, SubtreeCa
+from treepcr.sca import (
+    OK,
+    REJECT_PACKAGE,
+    REJECT_SIGNATURE,
+    REJECT_SUBTREE,
+    PassiveResult,
+    PolicyTable,
+    SubtreeCa,
+    passive_discover,
+)
 from treepcr.tree import MAX_DEPTH
 from treepcr.validator import validate_subtree
 from treepcr.wire import (
@@ -326,9 +338,9 @@ class TestService:
         platform = make_platform(random_leaves(rng, 2, count=4), 2)
         policy = PolicyTable()
         policy.add(platform.tree.node("01"), [("function", "logged")])
-        sca = SubtreeCa(key=SigningKey.generate(), policy=policy, mode="concealed")
         log_file = tmp_path / "issuance.log"
-        server, _, address = start_server(sca, issuance_log=str(log_file))
+        sca = SubtreeCa(key=SigningKey.generate(), policy=policy, mode="concealed", issuance_log=str(log_file))
+        server, _, address = start_server(sca)
         try:
             with ScaClient(address) as client:
                 certify_subtree(platform, client, "01", layout="empty")
@@ -337,6 +349,59 @@ class TestService:
             server.server_close()
         lines = log_file.read_text().splitlines()
         assert len(lines) == 1 and "concealed" in lines[0]
+
+    def test_one_issuance_record_on_every_route(self, served, tmp_path):
+        platform, sca, _, address = served
+        sca.issuance_log = str(tmp_path / "issuance.log")
+        aik_pub = platform.aik.public
+        with ScaClient(address) as client:
+            wire = client.verify_and_issue(AttestationPackage(platform.quote_node("01", client.issue_nonce()), aik_pub))
+        local = sca.verify_and_issue(AttestationPackage(platform.quote_node("00", sca.issue_nonce()), aik_pub))
+        passive = passive_discover(
+            sca, platform.node("0"), extract_subtree(platform.tree, "0"),
+            quote=platform.quote_node("0", sca.issue_nonce()), aik_pub=aik_pub,
+        )
+        assert wire.status == local.status == passive.status == OK and len(passive.certificates) == 2
+        issued = [wire.package, local.package, *(issue for _, issue in passive.certificates)]
+        assert Path(sca.issuance_log).read_text() == "".join(_record(issue) for issue in issued)
+
+    def test_concurrent_issuance_leaves_whole_lines(self, served, tmp_path):
+        platform, sca, _, address = served
+        sca.issuance_log = str(tmp_path / "issuance.log")
+        sca.clock = itertools.count(1_700_000_000).__next__  # distinct timestamps, so distinct lines
+        packages = [
+            AttestationPackage(platform.quote_node("01", sca.issue_nonce()), platform.aik.public) for _ in range(8)
+        ]
+        start = threading.Barrier(len(packages), timeout=10)
+        issued = []
+
+        def certify(package):
+            with ScaClient(address) as client:
+                start.wait()
+                issued.append(client.verify_and_issue(package).package)
+
+        threads = [threading.Thread(target=certify, args=(package,)) for package in packages]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(issued) == 8 and None not in issued
+        lines = Path(sca.issuance_log).read_text().splitlines(keepends=True)
+        assert sorted(lines) == sorted(_record(issue) for issue in issued)
+
+    def test_internal_error_keeps_the_session(self, served, monkeypatch):
+        platform, sca, _, address = served
+
+        def fail(package):
+            raise RuntimeError("authority failed")
+
+        monkeypatch.setattr(sca, "verify_and_issue", fail)
+        with ScaClient(address) as client:
+            package = AttestationPackage(platform.quote_node("01", client.issue_nonce()), platform.aik.public)
+            with pytest.raises(ProtocolFrameError) as caught:
+                client.verify_and_issue(package)
+            assert caught.value.code == "internal" and "authority failed" in caught.value.message
+            assert len(client.issue_nonce()) == 16
 
     def test_channel_wrapper_hook(self, rng):
         # a transforming wrapper on both ends still talks the same protocol
@@ -364,6 +429,12 @@ class TestService:
         finally:
             server.shutdown()
             server.server_close()
+
+
+def _record(issue: IssuePackage) -> str:
+    """One issuance-log line, in the service's file format."""
+    manifest = issue.manifest
+    return f"{manifest.timestamp} {issue.certificate.mode} {manifest.subject.to_text()} {manifest.issuer}\n"
 
 
 def _retag(blob, count, index, tag):
