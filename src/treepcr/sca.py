@@ -257,13 +257,13 @@ class SubtreeCa:
                 covered.add(entry.value.value)
         merged: list[tuple[str, str]] = []
         unlisted = 0
-        for coord in subtree.leaf_coords():
-            leaf = subtree.node(coord)
-            if leaf.is_nil:
+        depth = subtree.depth
+        for index, raw in enumerate(subtree.leaf_row()):
+            if raw is None:
                 continue
-            if leaf.value not in covered:
-                return IssueOutcome(REJECT_SUBTREE, detail=f"leaf {coord} not covered by policy or references")
-            props = self.policy.lookup(leaf)
+            if raw not in covered:
+                return IssueOutcome(REJECT_SUBTREE, detail=f"leaf {index:0{depth}b} not covered by policy or references")
+            props = self.policy.lookup(Digest(raw))
             if props is None:
                 unlisted += 1
                 continue

@@ -32,12 +32,23 @@ lines. Any other input, and a level of more than ``_MAX_RUNS`` runs, is
 re-read from line 1 by ``_parse_lines``, the per-line parse, which is the
 fallback and the one source of error messages and line numbers; both read
 the header with ``_parse_header``.
+
+``serialize_sml`` writes each level of the log as one block, with no Python
+work per line and one path for every shape. The level's template is
+``count`` lines of ``<coord> %s\\n``, prefilled from one line pattern, with
+each coordinate column written by a stride slice from ``_coord_column``
+(the helper ``_parse_runs`` checks those columns with). The level's values
+are hexed in one pass and split; only a level that holds nil has ``nil``
+merged in at its positions, and one ``%`` fills the template, which holds
+nothing but digits, spaces, ``%s`` and newlines. The writer does not split
+a level into runs and has no fallback.
 """
 
 from __future__ import annotations
 
 import copy
 import struct
+from binascii import hexlify
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -182,6 +193,11 @@ class SmlTree:
     def leaf_coords(self) -> Iterator[Coord]:
         depth = self.depth
         return (format(i, f"0{depth}b") for i in range(1 << depth))
+
+    def leaf_row(self) -> list[bytes | None]:
+        """The raw leaf values in index order, None for nil: the stored row
+        itself, for reading without a coordinate per leaf."""
+        return self._levels[self.depth]
 
     def _locate(self, coord: Coord) -> tuple[int, int]:
         check_coord(coord, self.depth)
@@ -360,10 +376,23 @@ def serialize_sml(tree: SmlTree, root_value: Digest | None = None, root_state: s
         if root_state not in ("AR", "CR"):
             raise ValueError(f"root state must be AR or CR, got {root_state!r}")
         head.append(f"state={root_state}")
-    lines = [" ".join(head)]
-    for coords, row in zip(_coord_rows(tree.depth), tree._levels[1:]):
-        lines += [f"{coord} {'nil' if value is None else value.hex()}" for coord, value in zip(coords, row)]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    blocks = [" ".join(head).encode("ascii") + b"\n"]
+    blocks += [_level_lines(row, level, tree.config.size) for level, row in enumerate(tree._levels[1:], 1)]
+    return b"".join(blocks)
+
+
+def _level_lines(row: list[bytes | None], level: int, size: int) -> bytes:
+    """The node lines of one level as one block: ``<coord> <hex or nil>\\n`` each."""
+    count, width = len(row), level + 4
+    # count lines of ``<coord> %s\n``: only 0, 1, space, %s and newline, so one % fills it
+    template = bytearray(b"0" * level + b" %s\n") * count
+    for j in range(level):  # digit j of a coordinate is bit level-1-j of its index
+        template[j::width] = _coord_column(level - 1 - j, 0, count)
+    texts = hexlify(b"".join(filter(None, row)), b" ", size).split()
+    if len(texts) < count:  # fewer fields than lines: the level holds nil, as no digest is empty
+        values = iter(texts)
+        texts = [b"nil" if value is None else next(values) for value in row]
+    return template % tuple(texts)
 
 
 def parse_sml(data: bytes) -> SmlDocument:

@@ -37,6 +37,8 @@ MSG_DISCOVERY_RESP = 0x85
 MSG_ERROR = 0x7F
 
 MAX_FRAME = 1 << 24  # refuse anything bigger than 16 MiB
+#: seconds a frame's sender may pause, once its first byte is in, before its session is dropped
+FRAME_DEADLINE = 30.0
 
 ChannelWrapper = Callable[[socket.socket], object]
 
@@ -132,10 +134,17 @@ def unpack_passive_result(payload: bytes) -> PassiveResult:
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         server: ScaServer = self.server  # type: ignore[assignment]
-        channel = server.channel_wrapper(self.request) if server.channel_wrapper else self.request
+        sock = self.request
+        channel = server.channel_wrapper(sock) if server.channel_wrapper else sock
         while True:
             try:
+                # a session may idle between frames; once a frame's first byte
+                # is in, each read of the rest waits at most FRAME_DEADLINE
+                if not sock.recv(1, socket.MSG_PEEK):
+                    return
+                sock.settimeout(FRAME_DEADLINE)
                 msg_type, payload = read_frame(channel)
+                sock.settimeout(None)
             except FrameError as exc:
                 # framing is broken: report once and drop the session
                 try:

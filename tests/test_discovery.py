@@ -418,6 +418,20 @@ class TestLeafCoverage:
         package = self._gapped_package(rng, platform, sca, "00")
         assert sca.verify_and_issue(package).status == REJECT_SUBTREE
 
+    def test_first_uncovered_leaf_named(self, rng):
+        # subtree "0" of a depth-4 log: its leaf 001 is nil, 011 and 101 are
+        # uncovered, and the refusal names the first of them in the subtree's
+        # own coordinates
+        leaves = random_leaves(rng, 4, count=16)
+        leaves[1] = None
+        platform = make_platform(leaves, 4)
+        covered = [leaves[i] for i in (0, 2, 4, 6, 7)]
+        sca = sca_with([Digest(raw) for raw in covered])
+        sca.leaf_values = set(covered)
+        outcome = sca.verify_and_issue(self._gapped_package(rng, platform, sca, "0"))
+        assert outcome.status == REJECT_SUBTREE
+        assert outcome.detail == "leaf 011 not covered by policy or references"
+
     def test_untrusted_reference_issuer_refused(self, rng):
         leaves = random_leaves(rng, 3, count=8)
         platform = make_platform(leaves, 3)

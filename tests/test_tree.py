@@ -455,16 +455,26 @@ class TestLevelStorage:
 # -- the run parse of canonical logs against the line parse ------------------
 
 
-def sample_log(rng, depth, config, shape):
-    """A serialized log: complete, partial (open), or with one subtree blanked by an update."""
+def sample_document(rng, depth, config, shape):
+    """A log document: complete, partial (open), with one subtree blanked by an
+    update, or complete with every other leaf set to nil."""
     capacity = 1 << depth
-    count = capacity if shape == "complete" else rng.randint(1, max(1, capacity - 1))
+    count = capacity if shape in ("complete", "alternating") else rng.randint(1, max(1, capacity - 1))
     platform = make_platform(random_leaves(rng, depth, config.algorithm, count=count), depth, config=config)
     if shape == "blanked":
         level = rng.randint(1, max(1, depth - 1))
         coord = format(rng.randrange(1 << level), f"0{level}b")
         assert platform.verified_update(coord, Digest(rng.randbytes(config.size))) is not None
     doc = platform.to_document()
+    if shape == "alternating":
+        row = doc.tree._levels[depth]
+        row[rng.randrange(2) :: 2] = [None] * (len(row) // 2)
+    return doc
+
+
+def sample_log(rng, depth, config, shape):
+    """A serialized log of ``sample_document``."""
+    doc = sample_document(rng, depth, config, shape)
     return serialize_sml(doc.tree, doc.root_value, doc.root_state)
 
 
@@ -553,6 +563,33 @@ class TestRunParse:
             parsed = parse_sml(data)
             assert parsed == doc
             assert serialize_sml(parsed.tree, parsed.root_value, parsed.root_state) == data
+
+    @pytest.mark.parametrize("shape", ["complete", "partial", "blanked", "alternating"])
+    @pytest.mark.parametrize("config", [SHA1, SHA256], ids=["sha1", "sha256"])
+    def test_writer_matches_brute_force_rendering(self, config, shape):
+        # every depth up to 8: the writer's bytes against one f-string per node
+        # line, parsed back; the run parse takes each log of at most 64 runs a level
+        for depth in range(1, 9):
+            doc = sample_document(random.Random(f"{shape}-{depth}"), depth, config, shape)
+            tree = doc.tree
+            data = serialize_sml(tree, doc.root_value, doc.root_state)
+            head = (
+                f"SMLTREE v1 alg={config.algorithm} depth={depth} leaves={tree.leaf_count} root-reg=0 "
+                f"root={doc.root_value.to_text()} state={doc.root_state}"
+            )
+            body = []
+            for level in range(1, depth + 1):
+                for index, value in enumerate(tree._levels[level]):
+                    body.append(f"{index:0{level}b} {'nil' if value is None else value.hex()}")
+            assert data == ("\n".join([head, *body]) + "\n").encode("ascii"), (depth, shape)
+            assert parse_sml(data) == doc
+            runs = max(
+                1 + sum((a is None) != (b is None) for a, b in zip(row, row[1:])) for row in tree._levels[1:]
+            )
+            if runs <= tree_module._MAX_RUNS:
+                assert tree_module._parse_runs(data) == doc, (depth, shape)
+            else:
+                assert tree_module._parse_runs(data) is None
 
     def test_many_short_runs_fall_back_after_a_bounded_number(self, monkeypatch):
         # a leaf level of alternating value and nil lines is canonical but

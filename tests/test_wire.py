@@ -4,6 +4,7 @@ import itertools
 import secrets
 import socket
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import make_platform
 from oracle import random_leaves
-from treepcr import NodeRef, SHA1, SigningKey, crypto, extract_subtree, serialize_sml
+from treepcr import NodeRef, SHA1, SigningKey, crypto, extract_subtree, serialize_sml, wire
 from treepcr.certification import (
     AttestationPackage,
     IssuePackage,
@@ -401,6 +402,23 @@ class TestService:
             with pytest.raises(ProtocolFrameError) as caught:
                 client.verify_and_issue(package)
             assert caught.value.code == "internal" and "authority failed" in caught.value.message
+            assert len(client.issue_nonce()) == 16
+
+    def test_stalled_frame_dropped_idle_session_kept(self, served, monkeypatch):
+        # a frame begun and not finished ends its session at the deadline; a
+        # session idle between frames for longer stays open
+        monkeypatch.setattr(wire, "FRAME_DEADLINE", 0.2)
+        _, _, _, address = served
+        with ScaClient(address) as client, socket.create_connection(address, timeout=10) as stalled:
+            assert len(client.issue_nonce()) == 16
+            stalled.sendall((100).to_bytes(4, "big") + bytes([MSG_NONCE]) + b"\x00" * 10)
+            started = time.monotonic()
+            try:
+                assert stalled.recv(1) == b""
+            except ConnectionResetError:
+                pass
+            assert time.monotonic() - started < 5
+            time.sleep(0.3)  # the other session now idles past the deadline
             assert len(client.issue_nonce()) == 16
 
     def test_channel_wrapper_hook(self, rng):
