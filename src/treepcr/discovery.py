@@ -125,8 +125,8 @@ def bottom_up_candidates(tree: SmlTree, data: DiscoveryData) -> DiscoveryResult:
     # one sweep up from the leaves: a node is 0 (no occupied leaf below),
     # 1 (occupied leaves, all trusted: a full span) or 2 (an untrusted leaf
     # below), and a parent takes the larger of its children's states
-    leaves = [tree.node(coord) for coord in tree.leaf_coords()]
-    state = [0 if leaf.is_nil else 1 if leaf in data.leaf_values else 2 for leaf in leaves]
+    trusted = {leaf.value for leaf in data.leaf_values}
+    state = [0 if leaf is None else 1 if leaf in trusted else 2 for leaf in tree.leaf_row()]
     unknown = [i for i, s in enumerate(state) if s == 2]  # sorted leaf indices
     levels = [state]  # levels[k][i] will belong to the node at (level k, index i)
     for _ in range(depth):

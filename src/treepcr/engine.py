@@ -4,9 +4,10 @@ A single logical device: a fixed array of verification data registers
 plus the commands that build, verify, update, and quote hash trees whose
 roots those registers protect. Each command holds the registers the
 device model gives it. Verify, update and node quotes share one fold
-(``tree.fold_path``); all commands share one root gate, quote signer and
-session digest, run under exclusive access, return verification misses
-as results and raise state and session violations as errors.
+(``tree.fold_path``, or ``tree.fold_root`` where only the root candidate is
+needed); all commands share one root gate, quote signer and session
+digest, run under exclusive access, return verification misses as
+results and raise state and session violations as errors.
 
 Registers hold raw values (``bytes``, None for nil); ``register_value``,
 quotes and command results wrap them as public ``Digest`` values. Each
@@ -19,13 +20,15 @@ verified update; the root register's state is the one record of that.
 The verify-family cores take the node's coordinate, its raw value and raw
 siblings, and any raw new value; each counts the command, gates the root,
 checks the coordinate against the tree, the sibling count and each input's
-length once, allocates the command's RT registers and folds.
+length once, borrows the command's working registers and folds.
 ``reduced_tree_verify_raw`` returns a bool (a node quote verifies through
 it, as its one root gate); the verified update core returns its raw fold
-path. A command writes a register value or arms a session only when that
-state outlives the command; a register it needs only while it runs is
-allocated and freed. So only ``reduced_tree_verify_load``, whose session a
-later ``reduced_tree_update`` consumes, fills RT registers and arms one.
+path. A register is allocated (written out of FREE) only when its state
+outlives the command: the root and build scratch of a created or restored
+tree, and the RT registers and session of a matched
+``reduced_tree_verify_load``, which a later update consumes. A register a
+command needs only while it runs is borrowed: counted as free, never
+written, so any value ``extend_register`` left there survives.
 The public ``NodeRef`` form of each command is an adapter: it checks that
 the sibling and trace coordinates belong to the node, hands the raw values
 to the same core and wraps what the core returns.
@@ -61,6 +64,7 @@ from .tree import (
     Trace,
     check_coord,
     fold_path,
+    fold_root,
     fold_to_root,
     is_reduced_of,
     is_trace_of,
@@ -321,6 +325,7 @@ class TreeTpm:
         self.config = config
         self.stats = EngineStats()
         self._regs = [Register() for _ in range(register_count)]
+        self._free_count = register_count  # registers in FREE: moved only by _alloc and _free_regs
         self._trees: dict[str, _TreeMeta] = {}
         # armed sessions only: each holds RT registers of its own, so the
         # table never outgrows the register file
@@ -352,28 +357,35 @@ class TreeTpm:
 
     def free_register_count(self) -> int:
         with self._lock:
-            return sum(1 for r in self._regs if r.state is RegisterState.FREE)
+            return self._free_count
 
     def _reg(self, reg: int) -> Register:
         if not 0 <= reg < len(self._regs):
             raise ValueError(f"register index {reg} out of range")
         return self._regs[reg]
 
+    def _borrow(self, count: int) -> None:
+        """Check that ``count`` registers are free for a command to work in; none is written."""
+        if self._free_count < count:
+            raise InsufficientRegisters(f"need {count} free registers, have {self._free_count}")
+
     def _alloc(self, count: int, state: RegisterState, tree_uid: str | None = None) -> list[int]:
-        """First fit: the ``count`` lowest-numbered free registers."""
+        """First fit, for registers that outlive the command: the ``count`` lowest-numbered free ones."""
+        self._borrow(count)
         free = (i for i, r in enumerate(self._regs) if r.state is RegisterState.FREE)
         chosen = list(itertools.islice(free, count))
-        if len(chosen) < count:
-            raise InsufficientRegisters(f"need {count} free registers, have {len(chosen)}")
         for i in chosen:
             register = self._regs[i]
             register.value, register.state, register.tree_uid, register.coord = None, state, tree_uid, None
+        self._free_count -= count
         return chosen
 
     def _free_regs(self, regs: Sequence[int]) -> None:
+        """Return held (non-FREE) registers to the free pool."""
         for i in regs:
             register = self._regs[i]
             register.value, register.state, register.tree_uid, register.coord = None, RegisterState.FREE, None, None
+        self._free_count += len(regs)
 
     def _touch(self, regs: Sequence[int]) -> None:
         """Invalidate (and drop) armed sessions bound to any mutated register."""
@@ -577,11 +589,14 @@ class TreeTpm:
     def _root(self, reg: int, complete: bool = False) -> tuple[Register, _TreeMeta]:
         """The root register ``reg`` (a complete one when asked) and its tree."""
         register = self._reg(reg)
-        if complete and register.state is not RegisterState.CR:
-            raise StateViolation("tree quotes require a complete (CR) root")
-        if register.state not in (RegisterState.AR, RegisterState.CR):
-            raise StateViolation(f"register {reg} does not hold a root")
-        return register, self._meta_for_root(reg)
+        state = register.state
+        if state is not RegisterState.CR and (complete or state is not RegisterState.AR):
+            detail = "tree quotes require a complete (CR) root" if complete else f"register {reg} does not hold a root"
+            raise StateViolation(detail)
+        meta = self._trees.get(register.tree_uid)
+        if meta is None:
+            raise StateViolation(f"register {reg} does not root a managed tree")
+        return register, meta
 
     @staticmethod
     def _session_auth(nonce: bytes) -> bytes:
@@ -604,17 +619,19 @@ class TreeTpm:
 
         On success the siblings stay in RT buffer registers, the staging
         register holds the folded root and an update session is armed; on
-        a root mismatch everything is released and None is returned (a
+        a root mismatch no register is written and None is returned (a
         verification miss is a result, not an error).
         """
         coord, siblings = node.coord, _raw_siblings(node.coord, reduced)
         with self._lock:
-            verified = self._verify_load(coord, node.value.value, siblings, root_reg)
-            if verified is None:
+            root = self._gate("reduced_tree_verify_load", coord, root_reg, len(coord) + 1, siblings, node.value.value)
+            path = fold_path(node.value.value, coord, siblings, self.config)
+            if path[-1] != root:
+                logger.debug("cmd %d verification error", self.stats.commands)
                 return None
-            slots, path = verified
             # the registers and the session outlive this command: the buffers
             # hold the siblings, the staging register the folded root
+            slots = self._alloc(len(coord) + 1, RegisterState.RT, self._regs[root_reg].tree_uid)
             for slot, slot_coord, slot_value in zip(slots, [*reduced_coords(coord), coord], [*siblings, path[-1]]):
                 self._regs[slot].coord, self._regs[slot].value = slot_coord, slot_value
             session_id = next(self._session_counter)
@@ -625,20 +642,23 @@ class TreeTpm:
             self._sessions[session_id] = session
             return VerifyLoadResult(_trace(coord, path), session)
 
-    def _verify_load(self, coord: str, value: bytes | None, siblings: Sequence, root_reg: int, *new: bytes | None):
-        """The load's verify core, checking ``new`` with the inputs: (its RT registers, raw fold path) or None."""
-        seq = self._command("reduced_tree_verify_load", root_reg, coord)
+    def _gate(self, name: str, coord: str, root_reg: int, need: int, siblings: Sequence, *values: bytes | None):
+        """A verify command's prologue: count it, gate its root, check its inputs once,
+        count the verify and borrow ``need`` registers; returns the root's raw value."""
+        self._command(name, root_reg, coord)
         register, meta = self._root(root_reg)
-        self._check_inputs(coord, meta, siblings, value, *new)
+        self._check_inputs(coord, meta, siblings, *values)
         self.stats.verify_ops += 1
+        self._borrow(need)
+        return register.value
 
-        slots = self._alloc(len(coord) + 1, RegisterState.RT, meta.uid)
-        path = fold_path(value, coord, siblings, self.config)
-        if path[-1] != register.value:
-            self._free_regs(slots)
-            logger.debug("cmd %d verification error", seq)
-            return None
-        return slots, path
+    def _verify(self, name: str, coord: str, value: bytes | None, siblings: Sequence, root_reg: int, need: int, *new):
+        """Gate the command, then fold the node straight to its root candidate and compare."""
+        root = self._gate(name, coord, root_reg, need, siblings, value, *new)
+        if fold_root(value, coord, siblings, self.config.hasher) != root:
+            logger.debug("cmd %d verification error", self.stats.commands)
+            return False
+        return True
 
     def reduced_tree_verify(self, node: NodeRef, reduced: ReducedTree, root_reg: int) -> Digest | None:
         """``NodeRef`` form of ``reduced_tree_verify_raw``: the root value on a match, else None."""
@@ -653,18 +673,7 @@ class TreeTpm:
     ) -> bool:
         """Single-register verification: streams the siblings, arms nothing, wraps nothing."""
         with self._lock:
-            seq = self._command("reduced_tree_verify", root_reg, coord)
-            register, meta = self._root(root_reg)
-            self._check_inputs(coord, meta, siblings, value)
-            self.stats.verify_ops += 1
-
-            slots = self._alloc(1, RegisterState.RT, meta.uid)
-            root = fold_path(value, coord, siblings, self.config)[-1]
-            self._free_regs(slots)
-            if root != register.value:
-                logger.debug("cmd %d verification error", seq)
-                return False
-            return True
+            return self._verify("reduced_tree_verify", coord, value, siblings, root_reg, 1)
 
     def tree_node_verify(
         self, coord: str, reduced: ReducedTree, trace: Trace, root_reg: int
@@ -695,15 +704,13 @@ class TreeTpm:
             self.stats.verify_ops += 1
 
             # the device walks with three working registers: parent, trace value, computed value
-            slots = self._alloc(3, RegisterState.RT, meta.uid)
+            self._borrow(3)
             new, parent = self.config.hasher, register.value
             for k, (bit, sibling, value) in enumerate(zip(coord, siblings, trace), 1):
                 computed = extend_raw(new, sibling, value) if bit == "1" else extend_raw(new, value, sibling)
                 if computed != parent:
-                    self._free_regs(slots)
                     return NodeVerifyBreach(k, as_digest(computed))
                 parent = value
-            self._free_regs(slots)
             return None
 
     def reduced_tree_update(self, session: UpdateSession, new_value: Digest) -> UpdateResult:
@@ -726,15 +733,16 @@ class TreeTpm:
             del self._sessions[session.session_id]
             siblings = [self._regs[slot].value for slot in session.buffer_regs]
             path = fold_path(new, session.coord, siblings, self.config)
-            self._write_root(session.root_reg, (*session.buffer_regs, session.staging_reg), path)
+            # the consumed session was the only one bound to its RT registers
+            self._free_regs((*session.buffer_regs, session.staging_reg))
+            self._write_root(session.root_reg, path)
             return UpdateResult(session.coord, path)
 
-    def _write_root(self, root_reg: int, slots: Sequence[int], path: list[bytes | None]) -> None:
-        """Finish an update: write the new root, free its RT registers, seal the tree."""
+    def _write_root(self, root_reg: int, path: list[bytes | None]) -> None:
+        """Finish an update: write the new root and seal the tree."""
         self.stats.update_ops += 1
         self._regs[root_reg].value = path[-1]
-        self._free_regs(slots)
-        self._touch([root_reg, *slots])
+        self._touch([root_reg])
         # an updated tree can no longer be extended consistently: seal it
         if self._regs[root_reg].state is not RegisterState.CR:
             self._close(self._meta_for_root(root_reg))
@@ -756,13 +764,14 @@ class TreeTpm:
         root last), or None on a verification miss.
         """
         with self._lock:
-            verified = self._verify_load(coord, value, siblings, root_reg, new_value)
-            if verified is None:
+            # the borrowed registers were free, so no armed session is bound to them
+            need = len(coord) + 1
+            if not self._verify("reduced_tree_verify_load", coord, value, siblings, root_reg, need, new_value):
                 return None
             # nothing is loaded: fold the new value through the siblings just checked
             self._command("reduced_tree_update", root_reg, coord)
             path = fold_path(new_value, coord, siblings, self.config)
-            self._write_root(root_reg, verified[0], path)
+            self._write_root(root_reg, path)
             return path
 
     # -- quoting -----------------------------------------------------------
@@ -813,14 +822,11 @@ class TreeTpm:
             register = self._reg(root_reg)
             if register.state is not RegisterState.CR:
                 raise StateViolation("tree quotes require a complete (CR) root")
+            # the device model gives the quote one scratch register, the one its
+            # verify borrows; the copy it would hold is the verified input itself
             if not self.reduced_tree_verify_raw(coord, value, siblings, root_reg):
                 return None
-            # the device model gives the quote one scratch register; the copy it
-            # would hold is the verified input itself, so nothing is written
-            slots = self._alloc(1, RegisterState.RT, register.tree_uid)
-            quote = self._quote(aik, nonce, "TREEQUOT", as_digest(value), coord=coord if include_coord else None)
-            self._free_regs(slots)
-            return quote
+            return self._quote(aik, nonce, "TREEQUOT", as_digest(value), coord=coord if include_coord else None)
 
     def reduced_tree_quote(
         self,

@@ -18,8 +18,9 @@ Whole-log work runs as level sweeps; ``recompute_root`` and
 ``find_inconsistency`` share one row-at-a-time fold. The file format is the
 coordinate-string text shown in the README and does not depend on this
 layout. ``fold_path`` is the one fold of a node through its sibling list
-(its Merkle audit path), on raw values: device verify, update and node
-quotes, and the receiver's refold of a reduced quote, all run it.
+(its Merkle audit path), on raw values, for an update and a load's trace;
+device verifies, node quotes and the receiver's refold of a reduced quote
+run ``fold_root``, the same fold kept to its last value.
 ``read_path`` is the one read of a node's path: its raw value, siblings and
 trace by index. The platform hands those raw values to the device;
 ``build_reduced_tree``/``build_trace`` wrap them as public ``NodeRef`` lists.
@@ -157,9 +158,21 @@ def fold_path(
     return path
 
 
+def fold_root(value: bytes | None, coord: Coord, sibling_values: Sequence[bytes | None], new) -> bytes | None:
+    """The last entry of ``fold_path`` (the root candidate), under hashlib's ``new``, with no path built."""
+    if len(sibling_values) != len(coord):
+        raise ValueError(f"need {len(coord)} sibling values, got {len(sibling_values)}")
+    for bit, sibling in zip(reversed(coord), reversed(sibling_values)):
+        if value is None:
+            value = sibling
+        elif sibling is not None:
+            value = new(sibling + value if bit == "1" else value + sibling).digest()
+    return value
+
+
 def fold_to_root(value: Digest, coord: Coord, reduced_values: Sequence[Digest], config: HashConfig) -> Digest:
-    """The root candidate of ``fold_path``, for public digest values."""
-    return as_digest(fold_path(value.value, coord, [d.value for d in reduced_values], config)[-1])
+    """``fold_root`` for public digest values."""
+    return as_digest(fold_root(value.value, coord, [d.value for d in reduced_values], config.hasher))
 
 
 class SmlTree:

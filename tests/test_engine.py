@@ -6,6 +6,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_platform
 from oracle import (
@@ -37,7 +38,7 @@ from treepcr import (
 )
 from treepcr import engine as engine_module
 from treepcr.encoding import EncodingError
-from treepcr.engine import Quote, Register, SessionStatus, UpdateSession
+from treepcr.engine import Quote, Register, SessionStatus, TpmError, UpdateSession
 
 
 def corrupt(value: Digest, rng: random.Random) -> Digest:
@@ -751,6 +752,24 @@ def test_verified_update_checks_each_input_once(rng):
     assert "_trace" not in calls  # the public trace is built only when read
 
 
+@pytest.mark.parametrize(
+    "read, args",
+    [
+        ("verify_node", ("01101001",)),
+        ("diagnose_node", ("01101001",)),
+        ("quote_node", ("01101001", b"n")),
+        ("verified_update", ("01101001", SHA1.measure(b"new"))),
+    ],
+)
+def test_verify_family_borrows_its_registers(rng, read, args):
+    depth = 8
+    platform = make_platform(random_leaves(rng, depth, count=1 << depth), depth)
+    calls = _calls(getattr(platform, read), *args)
+    assert not {"_alloc", "_free_regs"} & calls.keys()  # counted, never written
+    if read == "verify_node":
+        assert "fold_path" not in calls  # folded straight to the root candidate
+
+
 def _rt_writes(engine):
     """Non-nil values and coordinates written into RT registers from now on."""
     writes = []
@@ -851,7 +870,7 @@ SEATINGS = [
 
 
 class TestRegisterFootprint:
-    """Each tree command allocates exactly its fixed count of RT registers."""
+    """Each tree command needs exactly its fixed count of free registers, borrowed or allocated."""
 
     @staticmethod
     def _seated(rng, free):
@@ -892,6 +911,107 @@ class TestRegisterFootprint:
         with pytest.raises(InsufficientRegisters):
             run(platform, coord)
         assert self._snapshot(platform.engine) == before
+
+
+class TestBorrowedRegisters:
+    """A command that only borrows free registers leaves every value in them as it was."""
+
+    @staticmethod
+    def _hold(engine):
+        """Extend every free register with a value of its own; returns them by register."""
+        return {
+            reg: engine.extend_register(reg, SHA1.measure(b"held %d" % reg))
+            for reg in range(engine.register_count)
+            if engine.register_state(reg) is RegisterState.FREE
+        }
+
+    @pytest.mark.parametrize(
+        "read, run",
+        [
+            ("verify", lambda p: p.verify_node("010")),
+            ("diagnose", lambda p: p.diagnose_node("010") is None),
+            ("quote", lambda p: p.quote_node("010", b"n") is not None),
+            ("update-hit", lambda p: p.verified_update("010", SHA1.measure(b"new")) is not None),
+            # a forged sibling in the mirror: the device's fold misses its root
+            ("update-miss", lambda p: p.tree.set_node("011", SHA1.measure(b"forged"))
+             or p.verified_update("010", SHA1.measure(b"new")) is None),
+            # a load that misses allocates nothing either
+            ("load-miss", lambda p: p.tree.set_node("011", SHA1.measure(b"forged")) or _load(p, "010") is None),
+        ],
+    )
+    def test_free_register_values_survive(self, rng, read, run):
+        platform = make_platform(random_leaves(rng, 3, count=8), 3, register_count=8)
+        held = self._hold(platform.engine)
+        assert len(held) == 7
+        assert run(platform)
+        assert {reg: platform.engine.register_value(reg) for reg in held} == held
+
+    def test_free_register_values_survive_a_refusal(self, rng):
+        platform = make_platform(random_leaves(rng, 3, count=8), 3, register_count=8)
+        platform.engine.create_tree(3)  # leaves three free registers; the update needs four
+        held = self._hold(platform.engine)
+        assert len(held) == 3
+        with pytest.raises(InsufficientRegisters, match="need 4 free registers, have 3"):
+            platform.verified_update("010", SHA1.measure(b"new"))
+        assert {reg: platform.engine.register_value(reg) for reg in held} == held
+
+
+def _run_command(platform, sessions, op, arg):
+    """One device command chosen by ``op``, on registers and coordinates chosen by ``arg``."""
+    engine, r = platform.engine, random.Random(arg)
+    reg, depth, value = r.randrange(engine.register_count), r.randint(1, 3), SHA1.measure(b"%d" % arg)
+    coord = "".join(r.choice("01") for _ in range(r.randint(1, platform.depth)))
+    if op == 0:
+        engine.create_tree(depth)
+    elif op == 1:
+        engine.tree_extend(reg, value)  # any register: a free or CR one is refused
+    elif op == 2:
+        platform.extend(value)
+    elif op == 3:
+        engine.close_tree(reg)
+    elif op == 4:
+        engine.release(reg)
+    elif op == 5:
+        loaded = _load(platform, coord)
+        sessions.extend([] if loaded is None else [loaded.session])
+    elif op == 6 and sessions:
+        engine.reduced_tree_update(r.choice(sessions), value)  # a spent or stale one is refused
+    elif op == 7:
+        engine.restore_tree(depth, NIL, "AR", 0, [NIL] * depth)
+    elif op == 8:
+        engine.restore_tree(depth, value, "CR", 1 << depth)
+    elif op == 9:
+        platform.verify_node(coord)
+    elif op == 10:
+        platform.diagnose_node(coord)
+    elif op == 11:
+        platform.quote_node(coord, b"n")
+    elif op == 12:
+        platform.verified_update(coord, value)
+    elif op == 13:
+        engine.extend_register(reg, value)
+    elif op == 14:
+        engine.reduced_tree_verify_raw(coord, b"\x05" * 5, [None] * len(coord), platform.root_reg)
+    elif op == 15:
+        engine.restore_tree(depth, value, "AR", 1, [NIL] * depth)  # a frontier that misses the root
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    registers=st.integers(min_value=4, max_value=8),
+    depth=st.integers(min_value=1, max_value=3),
+    steps=st.lists(st.tuples(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=2**16)),
+                   max_size=40),
+)
+def test_free_register_count_never_drifts(registers, depth, steps):
+    platform = make_platform([], depth, register_count=registers)
+    engine, sessions = platform.engine, []
+    for op, arg in steps:
+        try:
+            _run_command(platform, sessions, op, arg)
+        except (TpmError, ValueError):
+            pass  # a refused command must leave the count right too
+        assert engine.free_register_count() == engine.register_count - len(engine.vdat())
 
 
 class TestPersistence:

@@ -39,7 +39,7 @@ from treepcr import (
 )
 from treepcr import tree as tree_module
 from treepcr.encoding import EncodingError
-from treepcr.tree import MAX_DEPTH
+from treepcr.tree import MAX_DEPTH, fold_path, fold_root
 
 GOLDEN = Path(__file__).parent / "data" / "four_leaf.sml"
 GOLDEN_SHA256 = "63039f50435328826f24c29ed143bd793c9ad53d41135ade8876bb4dc88d88ac"
@@ -187,6 +187,17 @@ class TestReducedTreeAndRoot:
                 oracle_fold(platform.tree.node(coord).value, coord, [v.value for v in reduced])
                 == root
             )
+
+    @given(
+        path=st.lists(st.tuples(st.sampled_from("01"), st.none() | st.binary(min_size=20, max_size=20)), max_size=12),
+        value=st.none() | st.binary(min_size=20, max_size=20),
+    )
+    def test_fold_root_is_the_last_entry_of_fold_path(self, path, value):
+        # nil nodes and nil siblings in any position: the inline nil-unit rule agrees with extend_raw's
+        coord, siblings = "".join(bit for bit, _ in path), [sibling for _, sibling in path]
+        assert fold_root(value, coord, siblings, SHA1.hasher) == fold_path(value, coord, siblings, SHA1)[-1]
+        with pytest.raises(ValueError, match="sibling values"):
+            fold_root(value, coord, [*siblings, None], SHA1.hasher)
 
     def test_trace_values_match_oracle(self, rng):
         leaves = random_leaves(rng, 3, count=8)
