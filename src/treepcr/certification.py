@@ -311,16 +311,35 @@ LAYOUT_FULL = "full"
 
 
 def check_dependency_free(entries: list[NodeRef]) -> list[NodeRef]:
-    """Reject sets in which one entry lies on another's path to the root."""
+    """Reject sets in which one entry lies on another's path to the root.
+
+    A set of well-formed, unnested coordinates passes on one sorted pass;
+    any other set is scanned entry by entry, which names the offender.
+    """
     position = {e.coord: i for i, e in enumerate(entries)}
     if len(position) != len(entries):
         raise ValueError("duplicate coordinates in update set")
+    if not _nested(position):
+        return entries
     for entry in entries:
         a = check_coord(entry.coord, allow_root=True)
         above = [position[a[:k]] for k in range(len(a)) if a[:k] in position]
         if above:
             raise ValueError(f"update set is not dependency-free: {a} lies below {entries[min(above)].coord}")
     return entries
+
+
+def _nested(coords: dict[str, int]) -> bool:
+    """Whether a coordinate is malformed or a prefix of another.
+
+    In coordinate order the coordinates that extend a given one directly
+    follow it, so comparing neighbours finds any nesting.
+    """
+    try:
+        ordered = sorted(check_coord(coord, allow_root=True) for coord in coords)
+    except ValueError:
+        return True
+    return any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
 
 
 def binding_update_set(

@@ -15,6 +15,9 @@ write command and each verify-family command has one core on raw values
 (``*_raw``). ``tree_extend_raw`` counts the command, gates the root and the
 leaf count, checks the measurement once, carries it through the
 build-scratch registers with ``extend_raw`` and returns the raw log delta.
+``tree_fold_raw`` folds a batch of raw values into a scratch tree level by
+level (``tree.fold_row``), hashing each inner node once, and returns every
+level; it seats no tree.
 The extend that fills the last leaf closes the tree (AR -> CR), as does a
 verified update; the root register's state is the one record of that.
 The verify-family cores take the node's coordinate, its raw value and raw
@@ -28,7 +31,9 @@ outlives the command: the root and build scratch of a created or restored
 tree, and the RT registers and session of a matched
 ``reduced_tree_verify_load``, which a later update consumes. A register a
 command needs only while it runs is borrowed: counted as free, never
-written, so any value ``extend_register`` left there survives.
+written, so any value ``extend_register`` left there survives. The verify
+family and ``tree_fold_raw`` (its scratch tree's root and build registers)
+borrow.
 The public ``NodeRef`` form of each command is an adapter: it checks that
 the sibling and trace coordinates belong to the node, hands the raw values
 to the same core and wraps what the core returns.
@@ -65,6 +70,7 @@ from .tree import (
     check_coord,
     fold_path,
     fold_root,
+    fold_row,
     fold_to_root,
     is_reduced_of,
     is_trace_of,
@@ -523,6 +529,35 @@ class TreeTpm:
                 self._close(meta)
             self._touch(touched)
             return index, path, closed
+
+    def tree_fold_raw(self, depth: int, measurements: Sequence[bytes | None]) -> list[list[bytes | None]]:
+        """Fold up to ``2^depth`` raw values into a nil-padded scratch tree, level by level.
+
+        One command in place of ``create_tree``, one ``tree_extend_raw`` per
+        value and ``release``: it borrows the ``depth + 1`` registers that
+        ``create_tree`` would allocate, checks every value before any work,
+        counts one extend per value and seats no tree. Returns every level,
+        leaves first and root last: row h holds the first ``ceil(k / 2^h)``
+        nodes at height h, the root row ``[root]`` (empty for no values),
+        and every node past a row is nil.
+        """
+        if depth < 1:
+            raise ValueError("tree depth must be at least 1")
+        if len(measurements) > 1 << depth:
+            raise ValueError(f"{len(measurements)} values do not fit a depth-{depth} tree")
+        with self._lock:
+            self._command("tree_fold", depth, len(measurements))
+            self._borrow(depth + 1)
+            check = self.config.check_raw
+            for value in measurements:
+                check(value)
+            new, row = self.config.hasher, list(measurements)
+            levels = [row]
+            for _ in range(depth):
+                row = fold_row(new, row + [None] if len(row) & 1 else row)
+                levels.append(row)
+            self.stats.extend_ops += len(measurements)
+            return levels
 
     def _close(self, meta: _TreeMeta) -> None:
         self._regs[meta.root_reg].state = RegisterState.CR

@@ -14,8 +14,10 @@ values (``bytes``, None for nil) in index order, so a node's children are
 one contiguous slice per level. ``Digest``/``NIL`` appear only where a
 value crosses the public API. Each input is checked once, where it enters
 (``set_node``, ``parse_sml``, the device commands), and never further down.
-Whole-log work runs as level sweeps; ``recompute_root`` and
-``find_inconsistency`` share one row-at-a-time fold. The file format is the
+Whole-log work runs as level sweeps; ``recompute_root``,
+``find_inconsistency`` and the device's scratch fold share one
+row-at-a-time fold, ``fold_row``, and ``set_rows`` writes such a fold's
+rows back one slice per level. The file format is the
 coordinate-string text shown in the README and does not depend on this
 layout. ``fold_path`` is the one fold of a node through its sibling list
 (its Merkle audit path), on raw values, for an update and a load's trace;
@@ -237,6 +239,26 @@ class SmlTree:
         for height, value in enumerate(values):
             levels[level - height][index >> height] = value
 
+    def set_rows(self, level: int, index: int, rows: Sequence[Sequence[bytes | None]]) -> None:
+        """Write the device's (checked) raw fold rows of the subtree at node ``(level, index)``.
+
+        The rows run leaves first, as ``TreeTpm.tree_fold_raw`` returns them:
+        row h sits h levels above the deepest and starts at the node's
+        leftmost descendant there, so the last row is the node's own. Each
+        row is one slice; nodes past a short row keep their values.
+        """
+        height = len(rows) - 1
+        if not (
+            0 < level <= level + height <= self.depth
+            and 0 <= index < 1 << level
+            and all(len(row) <= 1 << (height - h) for h, row in enumerate(rows))
+        ):
+            raise ValueError(f"no subtree of {len(rows)} rows at node {index} of level {level}")
+        levels = self._levels
+        for h, row in enumerate(rows):
+            start = index << (height - h)
+            levels[level + height - h][start : start + len(row)] = row
+
     def blank_below(self, coord: Coord) -> None:
         """Set every node strictly below coord to NIL: one slice per level."""
         level, index = self._locate(coord)
@@ -314,7 +336,7 @@ def recompute_root(tree: SmlTree) -> Digest:
     new, levels = tree.config.hasher, tree._levels
     row = levels[tree.depth]
     for level in range(tree.depth - 1, -1, -1):
-        row = [kept if folded is None else folded for folded, kept in zip(_fold_row(new, row), levels[level])]
+        row = [kept if folded is None else folded for folded, kept in zip(fold_row(new, row), levels[level])]
     return as_digest(row[0])
 
 
@@ -326,18 +348,18 @@ def find_inconsistency(tree: SmlTree, claimed_root: Digest | None = None) -> Coo
     """
     new, levels = tree.config.hasher, tree._levels
     for level in range(1, tree.depth):
-        folded = _fold_row(new, levels[level + 1])
+        folded = fold_row(new, levels[level + 1])
         if folded != levels[level]:
             index = next(i for i, (a, b) in enumerate(zip(folded, levels[level])) if a != b)
             return format(index, f"0{level}b")
     # every inner value matches its children here, so recompute_root() would
     # return exactly the fold of the two level-1 values
-    if claimed_root is not None and _fold_row(new, levels[1])[0] != claimed_root.value:
+    if claimed_root is not None and fold_row(new, levels[1])[0] != claimed_root.value:
         return ""
     return None
 
 
-def _fold_row(new, row: list[bytes | None]) -> list[bytes | None]:
+def fold_row(new, row: list[bytes | None]) -> list[bytes | None]:
     """The raw values one level up from ``row``: each pair under the nil-unit rule."""
     return [b if a is None else a if b is None else new(a + b).digest() for a, b in zip(row[::2], row[1::2])]
 

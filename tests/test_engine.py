@@ -860,6 +860,8 @@ FOOTPRINTS = [
     ("reduced-tree-quote", "010", 0, lambda p, c: p.quote_reduced(c, b"n")),
     ("verified-update", "010", 4, lambda p, c: p.engine.tree_node_verified_update(
         p.node(c), SHA1.measure(b"new"), p.reduced(c), p.root_reg)),
+    # a depth-2 scratch fold borrows what create_tree(2) would allocate
+    ("tree-fold", "d2", 3, lambda p, c: p.engine.tree_fold_raw(2, [p.root().value] * 3)),
 ]
 #: commands that seat a depth-2 tree, keeping the registers they need
 SEATINGS = [
@@ -954,6 +956,69 @@ class TestBorrowedRegisters:
         with pytest.raises(InsufficientRegisters, match="need 4 free registers, have 3"):
             platform.verified_update("010", SHA1.measure(b"new"))
         assert {reg: platform.engine.register_value(reg) for reg in held} == held
+
+
+@settings(max_examples=200, deadline=None)
+@given(depth=st.integers(min_value=1, max_value=8), config=st.sampled_from([SHA1, SHA256]), data=st.data())
+def test_tree_fold_matches_the_oracle_and_k_extends(depth, config, data):
+    k = data.draw(st.integers(min_value=0, max_value=1 << depth), label="k")
+    digest = st.binary(min_size=config.size, max_size=config.size)
+    values = data.draw(st.lists(st.none() | digest, min_size=k, max_size=k), label="values")
+    # a seated tree and a held value in every free register; the fold borrows exactly enough
+    engine = TreeTpm(depth + 3, config)
+    engine.create_tree(1)
+    for reg in range(2, depth + 3):
+        engine.extend_register(reg, config.measure(b"held %d" % reg))
+    before, commands, extends = TestRegisterFootprint._snapshot(engine), engine.stats.commands, engine.stats.extend_ops
+
+    levels = engine.tree_fold_raw(depth, values)
+
+    assert (engine.stats.commands - commands, engine.stats.extend_ops - extends) == (1, k)
+    assert TestRegisterFootprint._snapshot(engine) == before
+    assert len(levels) == depth + 1 and levels[0] == values
+    nodes, root = build_full_tree(values, depth, config.algorithm)
+    fresh = TreeTpm(depth + 1, config)
+    reg = fresh.create_tree(depth)
+    extended = {}
+    for value in values:
+        index, path, _ = fresh.tree_extend_raw(reg, value)
+        extended.update(((depth - height, index >> height), node) for height, node in enumerate(path))
+    for height, row in enumerate(levels):
+        level = depth - height
+        assert len(row) == -(-k >> height)  # ceil(k / 2^height): every later node is nil
+        padded = row + [None] * ((1 << level) - len(row))
+        if level == 0:
+            assert padded == [root] == [fresh.register_value(reg).value]
+        else:
+            assert padded == [nodes[format(i, f"0{level}b")] for i in range(1 << level)]
+            assert padded == [extended.get((level, i)) for i in range(1 << level)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(depth=st.integers(min_value=1, max_value=6), config=st.sampled_from([SHA1, SHA256]), data=st.data())
+def test_tree_fold_refusals_change_nothing(depth, config, data):
+    k = data.draw(st.integers(min_value=1, max_value=1 << depth), label="k")
+    values = [config.measure(b"%d" % i).value for i in range(k)]
+    engine = TreeTpm(depth + 2, config)
+    engine.create_tree(1)  # leaves depth free registers: one short
+    before, extends = TestRegisterFootprint._snapshot(engine), engine.stats.extend_ops
+    with pytest.raises(InsufficientRegisters) as short:
+        engine.tree_fold_raw(depth, values)
+    assert (TestRegisterFootprint._snapshot(engine), engine.stats.extend_ops) == (before, extends)
+    with pytest.raises(InsufficientRegisters) as create:
+        engine.create_tree(depth)
+    assert str(short.value) == str(create.value) == f"need {depth + 1} free registers, have {depth}"
+
+    engine = TreeTpm(depth + 1, config)
+    bad = data.draw(st.integers(min_value=0, max_value=k - 1), label="bad")
+    size = data.draw(st.sampled_from([0, 1, config.size - 1, config.size + 1]), label="size")
+    wrong = values[:bad] + [b"\x05" * size] + values[bad + 1 :]
+    with pytest.raises(ValueError, match=f"digest has {size} bytes, expected {config.size}"):
+        engine.tree_fold_raw(depth, wrong)
+    with pytest.raises(ValueError, match="values do not fit"):
+        engine.tree_fold_raw(depth, values + [None] * ((1 << depth) - k + 1))
+    assert TestRegisterFootprint._snapshot(engine) == [(NIL, RegisterState.FREE)] * (depth + 1)
+    assert engine.stats.extend_ops == 0
 
 
 def _run_command(platform, sessions, op, arg):

@@ -2,13 +2,15 @@ import cProfile
 import itertools
 import pstats
 import random
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import make_platform
 from oracle import build_full_tree, fixpoint_intrinsic_subsets, random_digest, random_leaves
-from treepcr import Digest, NodeRef, SHA1, recompute_root, serialize_sml
+from treepcr import Digest, NodeRef, SHA1, SmlTree, recompute_root, serialize_sml
 from treepcr.updates import (
     IntrinsicSubset,
     UpdateRejected,
@@ -168,15 +170,18 @@ class TestScratchFold:
         b.tree.set_node("10", Digest(random_digest(rng)))  # outside the span
         assert scratch_fold(subset, a.engine) == scratch_fold(subset, b.engine)
 
-    def test_fold_extends_raw_and_reads_the_scratch_register_once(self, rng):
+    def test_fold_is_one_device_command(self, rng):
         values = [Digest(random_digest(rng)) for _ in range(8)]
         subset = IntrinsicSubset("1", tuple(NodeRef("1" + format(i, "03b"), v) for i, v in enumerate(values)))
         platform = make_platform(random_leaves(rng, 4, count=16), 4)
+        stats = platform.engine.stats
+        commands, extends = stats.commands, stats.extend_ops
         profile = cProfile.Profile()
         folded = profile.runcall(scratch_fold, subset, platform.engine)
         calls = {name: n for (_, _, name), (_, n, *_rest) in pstats.Stats(profile).stats.items()}
-        assert calls["tree_extend_raw"] == 8 and "tree_extend" not in calls
-        assert calls["register_value"] == 1
+        assert calls["tree_fold_raw"] == 1
+        assert not {"create_tree", "tree_extend_raw", "release", "register_value", "_alloc", "_free_regs"} & calls.keys()
+        assert (stats.commands - commands, stats.extend_ops - extends) == (1, 8)
         _, root = build_full_tree([v.value for v in values], 3)
         assert folded == Digest(root)
 
@@ -261,16 +266,33 @@ class TestBulkEquivalence:
         assert bulk.engine.stats.extend_ops == naive.engine.stats.extend_ops
         assert serialize_sml(naive.tree) == serialize_sml(bulk.tree)
 
-    def test_span_fill_writes_raw_values_by_index(self, rng):
-        # eight leaves under "01" (inner values at two levels) plus one naive entry
-        entries = [NodeRef("01" + format(i, "03b"), Digest(random_digest(rng))) for i in range(8)]
+    @pytest.mark.parametrize(
+        "below",
+        [
+            pytest.param([format(i, "03b") for i in range(8)], id="eight-leaves"),
+            # members at two levels: those above the deepest park their values in the fold
+            pytest.param(["00", "01", "100", "101", "110", "111"], id="mixed-depth"),
+        ],
+    )
+    def test_span_fill_writes_the_fold_rows_without_refolding(self, rng, below):
+        # a span under "01" (inner values at two levels) plus one naive entry
+        entries = [NodeRef("01" + rest, Digest(random_digest(rng))) for rest in below]
         entries.append(NodeRef("10", Digest(random_digest(rng))))
         naive, bulk = fresh_pair(rng, 5)
         apply_update_set(list(entries), naive)
         profile = cProfile.Profile()
         profile.runcall(apply_update_set_bulk, list(entries), bulk)
-        calls = {(Path(path).name, name): n for (path, _, name), (_, n, *_rest) in pstats.Stats(profile).stats.items()}
+        stats = pstats.Stats(profile).stats
+        calls = {(Path(path).name, name): n for (path, _, name), (_, n, *_rest) in stats.items()}
+        assert calls["engine.py", "tree_fold_raw"] == 1  # the span is folded once, on the device
         assert calls["updates.py", "_fill_span"] == 1
+        # the fill writes the fold's rows, one slice per level, and hashes nothing
+        filled_by = {
+            (Path(path).name, name)
+            for (path, _, name), (*_counts, callers) in stats.items()
+            if any(caller[2] == "_fill_span" for caller in callers) and path.endswith(".py")
+        }
+        assert filled_by == {("tree.py", "set_rows")}
         assert ("tree.py", "set_node") not in calls and ("crypto.py", "extend") not in calls
         assert serialize_sml(naive.tree) == serialize_sml(bulk.tree)
 
@@ -285,3 +307,83 @@ class TestBulkEquivalence:
         assert serialize_sml(naive.tree) == serialize_sml(bulk.tree)
         assert naive.engine.stats.verify_ops - before == 1024
         assert bulk.engine.stats.verify_ops - before == 1
+
+
+class TestBulkDevice:
+    def test_bulk_apply_keeps_free_register_values(self, rng):
+        platform = make_platform(random_leaves(rng, 3, count=8), 3, register_count=12)
+        engine = platform.engine
+        held = {reg: engine.extend_register(reg, SHA1.measure(b"held %d" % reg)) for reg in (1, 2, 3)}
+        entries = [NodeRef("010", Digest(random_digest(rng))), NodeRef("011", Digest(random_digest(rng)))]
+        apply_update_set_bulk(entries, platform)
+        assert {reg: engine.register_value(reg) for reg in held} == held
+        assert platform.verify_node("010") and platform.verify_node("011")
+
+    def test_rejection_counts_applied_entries_like_the_naive_path(self, rng):
+        entries = [NodeRef(c, Digest(random_digest(rng))) for c in ("000", "001", "11")]
+        leaves = random_leaves(rng, 3, count=8)
+        for apply in (apply_update_set, apply_update_set_bulk):
+            platform = make_platform(leaves, 3)
+            platform.tree.set_node("11", Digest(random_digest(rng)))  # stale
+            with pytest.raises(UpdateRejected, match="rejected at 11 after 2 applied entries") as err:
+                apply(list(entries), platform)
+            assert (err.value.coord, err.value.applied) == ("11", 2)
+
+    def test_rejection_outside_every_span_matches_naive(self, rng):
+        compared = 0
+        for _ in range(300):
+            depth = rng.randint(2, 6)
+            leaves = random_leaves(rng, depth, count=1 << depth)
+            entries = sibling_heavy_antichain(rng, depth)
+            spanned = {m.coord for s in find_intrinsic_subsets(entries, depth) for m in s.members}
+            outside = [e.coord for e in entries if e.coord not in spanned]
+            if not spanned or not outside:
+                continue
+            stale, forged = rng.choice(outside), Digest(random_digest(rng))
+            refusals = []
+            for apply in (apply_update_set, apply_update_set_bulk):
+                platform = make_platform(leaves, depth)
+                platform.tree.set_node(stale, forged)
+                with pytest.raises(UpdateRejected) as err:
+                    apply(list(entries), platform)
+                refusals.append((err.value.coord, err.value.applied, serialize_sml(platform.tree)))
+            (naive_coord, *naive), (bulk_coord, *bulk) = refusals
+            if naive_coord in spanned:
+                continue  # refused inside a span: the bulk path names the span root
+            assert (bulk_coord, *bulk) == (naive_coord, *naive)
+            compared += 1
+        assert compared > 50
+
+    def test_reader_never_sees_a_span_root_without_its_fill(self, rng, monkeypatch):
+        depth = 5
+        platform = make_platform(random_leaves(rng, depth, count=1 << depth), depth)
+        # eight leaf pairs, each under a level-4 node whose sibling is not updated: eight spans
+        members = [format(i, "04b") + bit for i in range(0, 16, 2) for bit in "01"]
+        entries = [NodeRef(c, Digest(random_digest(rng))) for c in members]
+        assert len(find_intrinsic_subsets(entries, depth)) == 8
+        set_rows = SmlTree.set_rows
+
+        def delayed(tree, *args):
+            time.sleep(0.001)  # widen the window between a span root's update and its fill
+            set_rows(tree, *args)
+
+        monkeypatch.setattr(SmlTree, "set_rows", delayed)
+        done, checks, refusals = threading.Event(), [0], []
+
+        def reader():
+            while not done.is_set():
+                for coord in members:
+                    checks[0] += 1
+                    if not platform.verify_node(coord):
+                        refusals.append(coord)
+                time.sleep(0)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            apply_update_set_bulk(entries, platform)
+        finally:
+            done.set()
+            thread.join()
+        assert refusals == [] and checks[0] > 0
+        assert all(platform.verify_node(c) for c in members)
