@@ -2,40 +2,34 @@
 
 A single logical device: a fixed array of verification data registers
 plus the commands that build, verify, update, and quote hash trees whose
-roots those registers protect. Each command holds the registers the
-device model gives it. Verify, update and node quotes share one fold
-(``tree.fold_path``, or ``tree.fold_root`` where only the root candidate is
-needed); all commands share one root gate, quote signer and session
-digest, run under exclusive access, return verification misses as
-results and raise state and session violations as errors.
+roots those registers protect. Registers hold raw values (``bytes``, None
+for nil); ``register_value``, quotes and command results wrap them.
 
-Registers hold raw values (``bytes``, None for nil); ``register_value``,
-quotes and command results wrap them as public ``Digest`` values. Each
-write command and each verify-family command has one core on raw values
-(``*_raw``). ``tree_extend_raw`` counts the command, gates the root and the
-leaf count, checks the measurement once, carries it through the
-build-scratch registers with ``extend_raw`` and returns the raw log delta.
-``tree_fold_raw`` folds a batch of raw values into a scratch tree level by
-level (``tree.fold_row``), hashing each inner node once, and returns every
-level; it seats no tree.
-The extend that fills the last leaf closes the tree (AR -> CR), as does a
-verified update; the root register's state is the one record of that.
-The verify-family cores take the node's coordinate, its raw value and raw
-siblings, and any raw new value; each counts the command, gates the root,
-checks the coordinate against the tree, the sibling count and each input's
-length once, borrows the command's working registers and folds.
-``reduced_tree_verify_raw`` returns a bool (a node quote verifies through
-it, as its one root gate); the verified update core returns its raw fold
-path. A register is allocated (written out of FREE) only when its state
-outlives the command: the root and build scratch of a created or restored
-tree, and the RT registers and session of a matched
-``reduced_tree_verify_load``, which a later update consumes. A register a
-command needs only while it runs is borrowed: counted as free, never
-written, so any value ``extend_register`` left there survives. The verify
-family and ``tree_fold_raw`` (its scratch tree's root and build registers)
-borrow.
-The public ``NodeRef`` form of each command is an adapter: it checks that
-the sibling and trace coordinates belong to the node, hands the raw values
+Every command has one entry, run in one order under exclusive access.
+``_command`` counts it once, under its own name, as it is entered, so a
+refused command counts too. ``_root`` is the one root gate (AR to extend
+or close a tree, CR to quote it, either to verify or update it);
+``_check_inputs`` checks the coordinate against the tree, the sibling
+count and each value's length once; ``_borrow`` checks that the
+command's working registers are free (``_gate`` runs these for the node
+commands). Only then does an operation counter or a register move, so a
+refused command changes nothing but ``commands``. Misses are results;
+state and session violations raise.
+
+Each write and verify-family command has one core on raw values
+(``*_raw``). ``tree_extend_raw`` places one leaf and returns the raw log
+delta; ``tree_fold_raw`` folds a batch into a scratch tree level by level
+(``tree.fold_row``) and returns every level, seating no tree. Verify,
+update and node quotes share one fold (``tree.fold_path``, or
+``tree.fold_root`` for the root candidate alone). The extend that fills
+the last leaf closes the tree (AR -> CR), as does a verified update.
+A register is allocated (written out of FREE) only when its state
+outlives the command: the root and build scratch of a seated tree, and
+the RT registers and session of a matched ``reduced_tree_verify_load``,
+which a later update consumes. Any other register a command needs is
+borrowed: counted as free, never written. The public ``NodeRef`` form of
+a command is an adapter: before it enters the command, it checks that the
+sibling and trace coordinates belong to the node; it hands the raw values
 to the same core and wraps what the core returns.
 """
 
@@ -106,6 +100,10 @@ class RegisterState(enum.Enum):
     CR = "CR"  # complete root, closed against further extends
     TB = "TB"  # tree-build scratch slot
     RT = "RT"  # loaded reduced-tree entry awaiting update
+
+
+#: the states of a register that roots a tree
+_ROOTS = (RegisterState.AR, RegisterState.CR)
 
 
 @dataclass(slots=True)
@@ -217,14 +215,19 @@ class Quote:
     root_value: Digest | None = None
 
     def signed_payload(self) -> bytes:
-        return quote_payload(
-            self.tag,
-            self.node_value,
-            coord=self.coord,
-            reduced_values=self.reduced_values,
-            root_register=self.root_register,
-            root_value=self.root_value,
-        )
+        """Canonical signed payload of this quote variant."""
+        if self.tag in ("QUOT", "TREEQUOT"):
+            coord = () if self.coord is None else (self.coord.encode("ascii"),)
+            return pack_fields(digest_to_wire(self.node_value), *coord)
+        if self.tag == "REDTREEQUOT":
+            reduced, root_register, root_value = self.reduced_values, self.root_register, self.root_value
+            if reduced is None or root_register is None or root_value is None:
+                raise ValueError("reduced quote payload needs sibling values and the root binding")
+            return pack_fields(
+                digest_to_wire(self.node_value), pack_u32(len(reduced)), *map(digest_to_wire, reduced),
+                pack_u32(root_register), digest_to_wire(root_value),
+            )
+        raise ValueError(f"unknown quote tag {self.tag!r}")
 
     def to_bytes(self) -> bytes:
         reduced = self.reduced_values
@@ -259,31 +262,6 @@ class Quote:
             root_register=unpack_u32(root_reg) if reduced_tree else None,
             root_value=digest_from_wire(root_val) if reduced_tree else None,
         )
-
-
-def quote_payload(
-    tag: str,
-    node_value: Digest,
-    coord: str | None = None,
-    reduced_values: Sequence[Digest] | None = None,
-    root_register: int | None = None,
-    root_value: Digest | None = None,
-) -> bytes:
-    """Canonical signed payload for each quote variant."""
-    if tag in ("QUOT", "TREEQUOT"):
-        fields = [digest_to_wire(node_value)]
-        if coord is not None:
-            fields.append(coord.encode("ascii"))
-        return pack_fields(*fields)
-    if tag == "REDTREEQUOT":
-        if reduced_values is None or root_register is None or root_value is None:
-            raise ValueError("reduced quote payload needs sibling values and the root binding")
-        fields = [digest_to_wire(node_value), pack_u32(len(reduced_values))]
-        fields.extend(digest_to_wire(d) for d in reduced_values)
-        fields.append(pack_u32(root_register))
-        fields.append(digest_to_wire(root_value))
-        return pack_fields(*fields)
-    raise ValueError(f"unknown quote tag {tag!r}")
 
 
 def verify_quote(quote: Quote, aik_pub: VerifyingKey) -> bool:
@@ -404,26 +382,72 @@ class TreeTpm:
                 del self._sessions[session.session_id]
                 logger.debug("session %d invalidated by registers %s", session.session_id, sorted(touched))
 
+    # -- the command prologue ----------------------------------------------
+
     def _command(self, name: str, *detail: object) -> int:
+        """Count a command, once, as it is entered: refused or not."""
         self.stats.commands += 1
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("cmd %d %s %s", self.stats.commands, name, " ".join(str(d) for d in detail))
         return self.stats.commands
 
-    def _meta_for_root(self, reg: int) -> _TreeMeta:
+    def _sized(self, name: str, depth: int, *detail: object) -> None:
+        """Enter a command that takes a tree depth: count it, then check the depth."""
+        self._command(name, depth, *detail)
+        if depth < 1:
+            raise ValueError("tree depth must be at least 1")
+
+    def _scratch(self, name: str, reg: int) -> Register:
+        """Enter a plain register command: count it, then check that ``reg`` is free
+        scratch (which no armed session binds, so writing it touches none)."""
+        self._command(name, reg)
         register = self._reg(reg)
-        if register.tree_uid is None or register.tree_uid not in self._trees:
+        if register.state is not RegisterState.FREE:
+            raise StateViolation(f"register {reg} is {register.state.value}, not free scratch")
+        return register
+
+    def _root(self, reg: int, state: RegisterState | None = None) -> tuple[Register, _TreeMeta]:
+        """The one root gate: register ``reg`` and the tree it roots, in ``state``
+        (AR to extend or close the tree, CR to quote it, None for either)."""
+        register = self._reg(reg)
+        held = register.state
+        if held is not state and (state is not None or held not in _ROOTS):
+            if state is RegisterState.AR:
+                raise StateViolation(f"register {reg} is not an active root ({held.value})")
+            if state is RegisterState.CR:
+                raise StateViolation("tree quotes require a complete (CR) root")
+            raise StateViolation(f"register {reg} does not hold a root")
+        meta = self._trees.get(register.tree_uid)
+        if meta is None:
             raise StateViolation(f"register {reg} does not root a managed tree")
-        return self._trees[register.tree_uid]
+        return register, meta
+
+    def _check_inputs(self, coord: str, meta: _TreeMeta, siblings: Sequence, *values, allow_root=False) -> None:
+        """One pass over a command's raw inputs: the coordinate against the tree,
+        the sibling count, and the length of each value and sibling, once."""
+        check_coord(coord, meta.depth, allow_root)
+        if len(siblings) != len(coord):
+            raise ValueError(f"need {len(coord)} sibling values, got {len(siblings)}")
+        check = self.config.check_raw
+        for value in (*values, *siblings):
+            check(value)
+
+    def _gate(self, name: str, root_reg: int, state: RegisterState | None, coord: str, need: int, siblings, *values):
+        """A node command's prologue: count it, gate its root, check its inputs once
+        and borrow ``need`` registers; returns the root register and its tree.
+        Nothing is counted but the command until every check has passed."""
+        self._command(name, root_reg, coord)
+        register, meta = self._root(root_reg, state)
+        self._check_inputs(coord, meta, siblings, *values)
+        self._borrow(need)
+        return register, meta
 
     # -- tree construction -----------------------------------------------
 
     def create_tree(self, depth: int) -> int:
         """Allocate a root register (state AR) plus depth build-scratch registers."""
-        if depth < 1:
-            raise ValueError("tree depth must be at least 1")
         with self._lock:
-            self._command("create_tree", depth)
+            self._sized("create_tree", depth)
             return self._seat(depth, None, RegisterState.AR, 0, [None] * depth)
 
     def restore_tree(
@@ -442,26 +466,24 @@ class TreeTpm:
         frontier of an open one must fold to the root, since those extends
         fold it in.
         """
-        if depth < 1:
-            raise ValueError("tree depth must be at least 1")
-        if state not in ("AR", "CR"):
-            raise ValueError(f"root state must be AR or CR, got {state!r}")
-        if not 0 <= leaf_count <= (1 << depth):
-            raise ValueError(f"leaf count {leaf_count} out of range for depth {depth}")
-        frontier = list(frontier) if state == "AR" else []
-        if state == "AR" and len(frontier) != depth:
-            raise ValueError(f"need {depth} frontier values, got {len(frontier)}")
-        for value in (root_value, *frontier):
-            self.config.check(value)
-        if frontier and leaf_count < (1 << depth):
-            folded = None  # the completed subtrees at the set bits of the leaf count, lowest first
-            for height, value in enumerate(frontier):
-                if (leaf_count >> height) & 1:
-                    folded = extend_raw(self.config.hasher, value.value, folded)
-            if folded != root_value.value:
-                raise ValueError("build frontier does not fold to the root value")
         with self._lock:
-            self._command("restore_tree", depth, state, leaf_count)
+            self._sized("restore_tree", depth, state, leaf_count)
+            if state not in ("AR", "CR"):
+                raise ValueError(f"root state must be AR or CR, got {state!r}")
+            if not 0 <= leaf_count <= (1 << depth):
+                raise ValueError(f"leaf count {leaf_count} out of range for depth {depth}")
+            frontier = list(frontier) if state == "AR" else []
+            if state == "AR" and len(frontier) != depth:
+                raise ValueError(f"need {depth} frontier values, got {len(frontier)}")
+            for value in (root_value, *frontier):
+                self.config.check(value)
+            if frontier and leaf_count < (1 << depth):
+                folded = None  # the completed subtrees at the set bits of the leaf count, lowest first
+                for height, value in enumerate(frontier):
+                    if (leaf_count >> height) & 1:
+                        folded = extend_raw(self.config.hasher, value.value, folded)
+                if folded != root_value.value:
+                    raise ValueError("build frontier does not fold to the root value")
             return self._seat(depth, root_value.value, RegisterState[state], leaf_count, [v.value for v in frontier])
 
     def _seat(self, depth: int, root_value: bytes | None, state: RegisterState, leaf_count: int, frontier: list) -> int:
@@ -497,12 +519,9 @@ class TreeTpm:
         """
         with self._lock:
             self._command("tree_extend", reg)
-            register = self._reg(reg)
-            if register.state is RegisterState.CR:
-                raise TreeComplete("tree complete")
-            if register.state is not RegisterState.AR:
-                raise StateViolation(f"register {reg} is not an active root ({register.state.value})")
-            meta = self._meta_for_root(reg)
+            if self._reg(reg).state is RegisterState.CR:
+                raise TreeComplete("tree complete")  # a sealed tree takes no leaf, full or not
+            register, meta = self._root(reg, RegisterState.AR)
             if meta.leaf_count >= (1 << meta.depth):
                 raise TreeComplete("tree complete")
             self.config.check_raw(measurement)
@@ -541,12 +560,10 @@ class TreeTpm:
         nodes at height h, the root row ``[root]`` (empty for no values),
         and every node past a row is nil.
         """
-        if depth < 1:
-            raise ValueError("tree depth must be at least 1")
-        if len(measurements) > 1 << depth:
-            raise ValueError(f"{len(measurements)} values do not fit a depth-{depth} tree")
         with self._lock:
-            self._command("tree_fold", depth, len(measurements))
+            self._sized("tree_fold", depth, len(measurements))
+            if len(measurements) > 1 << depth:
+                raise ValueError(f"{len(measurements)} values do not fit a depth-{depth} tree")
             self._borrow(depth + 1)
             check = self.config.check_raw
             for value in measurements:
@@ -569,32 +586,20 @@ class TreeTpm:
         """AR -> CR; the tree is sealed against further extends."""
         with self._lock:
             self._command("close_tree", reg)
-            register = self._reg(reg)
-            if register.state is not RegisterState.AR:
-                raise StateViolation(f"register {reg} is not an active root ({register.state.value})")
-            self._close(self._meta_for_root(reg))
+            self._close(self._root(reg, RegisterState.AR)[1])
 
     # -- register administration -----------------------------------------
 
     def reset_to_nil(self, reg: int) -> None:
         """Clear a free scratch register to the nil unit."""
         with self._lock:
-            self._command("reset_to_nil", reg)
-            register = self._reg(reg)
-            if register.state is not RegisterState.FREE:
-                raise StateViolation(f"register {reg} is {register.state.value}, not free scratch")
-            register.value = None
-            self._touch([reg])
+            self._scratch("reset_to_nil", reg).value = None
 
     def extend_register(self, reg: int, measurement: Digest) -> Digest:
         """Plain one-way extend of a free scratch register."""
         with self._lock:
-            self._command("extend_register", reg)
-            register = self._reg(reg)
-            if register.state is not RegisterState.FREE:
-                raise StateViolation(f"register {reg} is {register.state.value}, not free scratch")
+            register = self._scratch("extend_register", reg)
             register.value = extend_raw(self.config.hasher, register.value, self.config.check(measurement).value)
-            self._touch([reg])
             return as_digest(register.value)
 
     def release(self, reg: int) -> None:
@@ -613,7 +618,7 @@ class TreeTpm:
                 raise StateViolation("build-scratch registers are managed by their tree")
             victims = [reg]
             if register.state in (RegisterState.AR, RegisterState.CR):
-                meta = self._meta_for_root(reg)
+                meta = self._root(reg)[1]
                 victims += meta.tb_regs
                 del self._trees[meta.uid]
             self._touch(victims)
@@ -621,31 +626,9 @@ class TreeTpm:
 
     # -- verification and update -----------------------------------------
 
-    def _root(self, reg: int, complete: bool = False) -> tuple[Register, _TreeMeta]:
-        """The root register ``reg`` (a complete one when asked) and its tree."""
-        register = self._reg(reg)
-        state = register.state
-        if state is not RegisterState.CR and (complete or state is not RegisterState.AR):
-            detail = "tree quotes require a complete (CR) root" if complete else f"register {reg} does not hold a root"
-            raise StateViolation(detail)
-        meta = self._trees.get(register.tree_uid)
-        if meta is None:
-            raise StateViolation(f"register {reg} does not root a managed tree")
-        return register, meta
-
     @staticmethod
     def _session_auth(nonce: bytes) -> bytes:
         return hashlib.sha256(pack_fields(b"session", nonce)).digest()
-
-    def _check_inputs(self, coord: str, meta: _TreeMeta, siblings: Sequence, *values: bytes | None) -> None:
-        """One pass over a command's raw inputs: the coordinate against the tree,
-        the sibling count, and the length of each value and sibling, once."""
-        check_coord(coord, meta.depth)
-        if len(siblings) != len(coord):
-            raise ValueError(f"need {len(coord)} sibling values, got {len(siblings)}")
-        check = self.config.check_raw
-        for value in (*values, *siblings):
-            check(value)
 
     def reduced_tree_verify_load(
         self, node: NodeRef, reduced: ReducedTree, root_reg: int
@@ -657,16 +640,18 @@ class TreeTpm:
         a root mismatch no register is written and None is returned (a
         verification miss is a result, not an error).
         """
-        coord, siblings = node.coord, _raw_siblings(node.coord, reduced)
+        coord, value, siblings = node.coord, node.value.value, _raw_siblings(node.coord, reduced)
         with self._lock:
-            root = self._gate("reduced_tree_verify_load", coord, root_reg, len(coord) + 1, siblings, node.value.value)
-            path = fold_path(node.value.value, coord, siblings, self.config)
-            if path[-1] != root:
+            need = len(coord) + 1
+            register, meta = self._gate("reduced_tree_verify_load", root_reg, None, coord, need, siblings, value)
+            self.stats.verify_ops += 1
+            path = fold_path(value, coord, siblings, self.config)
+            if path[-1] != register.value:
                 logger.debug("cmd %d verification error", self.stats.commands)
                 return None
             # the registers and the session outlive this command: the buffers
             # hold the siblings, the staging register the folded root
-            slots = self._alloc(len(coord) + 1, RegisterState.RT, self._regs[root_reg].tree_uid)
+            slots = self._alloc(need, RegisterState.RT, meta.uid)
             for slot, slot_coord, slot_value in zip(slots, [*reduced_coords(coord), coord], [*siblings, path[-1]]):
                 self._regs[slot].coord, self._regs[slot].value = slot_coord, slot_value
             session_id = next(self._session_counter)
@@ -677,23 +662,15 @@ class TreeTpm:
             self._sessions[session_id] = session
             return VerifyLoadResult(_trace(coord, path), session)
 
-    def _gate(self, name: str, coord: str, root_reg: int, need: int, siblings: Sequence, *values: bytes | None):
-        """A verify command's prologue: count it, gate its root, check its inputs once,
-        count the verify and borrow ``need`` registers; returns the root's raw value."""
-        self._command(name, root_reg, coord)
-        register, meta = self._root(root_reg)
-        self._check_inputs(coord, meta, siblings, *values)
+    def _verify(self, name: str, root_reg: int, state: RegisterState | None, coord: str, value, siblings, need, *new):
+        """Gate the command, count the verify, then fold the node straight to its root
+        candidate: the root register and its tree on a match, else None."""
+        register, meta = self._gate(name, root_reg, state, coord, need, siblings, value, *new)
         self.stats.verify_ops += 1
-        self._borrow(need)
-        return register.value
-
-    def _verify(self, name: str, coord: str, value: bytes | None, siblings: Sequence, root_reg: int, need: int, *new):
-        """Gate the command, then fold the node straight to its root candidate and compare."""
-        root = self._gate(name, coord, root_reg, need, siblings, value, *new)
-        if fold_root(value, coord, siblings, self.config.hasher) != root:
+        if fold_root(value, coord, siblings, self.config.hasher) != register.value:
             logger.debug("cmd %d verification error", self.stats.commands)
-            return False
-        return True
+            return None
+        return register, meta
 
     def reduced_tree_verify(self, node: NodeRef, reduced: ReducedTree, root_reg: int) -> Digest | None:
         """``NodeRef`` form of ``reduced_tree_verify_raw``: the root value on a match, else None."""
@@ -708,7 +685,7 @@ class TreeTpm:
     ) -> bool:
         """Single-register verification: streams the siblings, arms nothing, wraps nothing."""
         with self._lock:
-            return self._verify("reduced_tree_verify", coord, value, siblings, root_reg, 1)
+            return self._verify("reduced_tree_verify", root_reg, None, coord, value, siblings, 1) is not None
 
     def tree_node_verify(
         self, coord: str, reduced: ReducedTree, trace: Trace, root_reg: int
@@ -728,18 +705,15 @@ class TreeTpm:
         """Top-down diagnostic walk; returns the first breached level, or None when intact.
 
         Level k is intact when its trace value extended with its sibling
-        gives the value one level up: the root register for level 1.
+        gives the value one level up: the root register for level 1. The
+        device walks with three working registers: parent, trace value and
+        computed value.
         """
         with self._lock:
-            self._command("tree_node_verify", root_reg, coord)
-            register, meta = self._root(root_reg)
-            self._check_inputs(coord, meta, siblings, *trace)
+            register, _ = self._gate("tree_node_verify", root_reg, None, coord, 3, siblings, *trace)
             if len(trace) != len(coord):
                 raise ValueError(f"need {len(coord)} trace values, got {len(trace)}")
             self.stats.verify_ops += 1
-
-            # the device walks with three working registers: parent, trace value, computed value
-            self._borrow(3)
             new, parent = self.config.hasher, register.value
             for k, (bit, sibling, value) in enumerate(zip(coord, siblings, trace), 1):
                 computed = extend_raw(new, sibling, value) if bit == "1" else extend_raw(new, value, sibling)
@@ -763,6 +737,7 @@ class TreeTpm:
             for slot in (*session.buffer_regs, session.staging_reg):
                 if self._regs[slot].state is not RegisterState.RT:
                     raise BindingViolation(f"bound register {slot} left the RT state")
+            register, meta = self._root(session.root_reg)
             new = self.config.check(new_value).value
             session.status = SessionStatus.CONSUMED
             del self._sessions[session.session_id]
@@ -770,17 +745,17 @@ class TreeTpm:
             path = fold_path(new, session.coord, siblings, self.config)
             # the consumed session was the only one bound to its RT registers
             self._free_regs((*session.buffer_regs, session.staging_reg))
-            self._write_root(session.root_reg, path)
+            self._write_root(register, meta, path)
             return UpdateResult(session.coord, path)
 
-    def _write_root(self, root_reg: int, path: list[bytes | None]) -> None:
+    def _write_root(self, register: Register, meta: _TreeMeta, path: list[bytes | None]) -> None:
         """Finish an update: write the new root and seal the tree."""
         self.stats.update_ops += 1
-        self._regs[root_reg].value = path[-1]
-        self._touch([root_reg])
+        register.value = path[-1]
+        self._touch([meta.root_reg])
         # an updated tree can no longer be extended consistently: seal it
-        if self._regs[root_reg].state is not RegisterState.CR:
-            self._close(self._meta_for_root(root_reg))
+        if register.state is not RegisterState.CR:
+            self._close(meta)
 
     def tree_node_verified_update(
         self, node: NodeRef, new_value: Digest, reduced: ReducedTree, root_reg: int
@@ -801,12 +776,12 @@ class TreeTpm:
         with self._lock:
             # the borrowed registers were free, so no armed session is bound to them
             need = len(coord) + 1
-            if not self._verify("reduced_tree_verify_load", coord, value, siblings, root_reg, need, new_value):
+            root = self._verify("tree_node_verified_update", root_reg, None, coord, value, siblings, need, new_value)
+            if root is None:
                 return None
             # nothing is loaded: fold the new value through the siblings just checked
-            self._command("reduced_tree_update", root_reg, coord)
             path = fold_path(new_value, coord, siblings, self.config)
-            self._write_root(root_reg, path)
+            self._write_root(*root, path)
             return path
 
     # -- quoting -----------------------------------------------------------
@@ -814,8 +789,10 @@ class TreeTpm:
     def _quote(self, aik: SigningKey, nonce: bytes, tag: str, node_value: Digest, **fields) -> Quote:
         """Sign the canonical payload of one quote variant."""
         self.stats.quote_ops += 1
-        signature = sign(aik, tag, quote_payload(tag, node_value, **fields), nonce)
-        return Quote(tag, node_value, nonce, signature, **fields)
+        quote = Quote(tag, node_value, nonce, b"", **fields)
+        # the signature is the one field its own payload leaves out: set it once, in place
+        object.__setattr__(quote, "signature", sign(aik, tag, quote.signed_payload(), nonce))
+        return quote
 
     def quote_register(self, reg: int, aik: SigningKey, nonce: bytes) -> Quote:
         """Plain register quote (tag QUOT); no tree-state gate."""
@@ -853,13 +830,9 @@ class TreeTpm:
         alone.
         """
         with self._lock:
-            self._command("tree_node_quote", root_reg, coord)
-            register = self._reg(root_reg)
-            if register.state is not RegisterState.CR:
-                raise StateViolation("tree quotes require a complete (CR) root")
             # the device model gives the quote one scratch register, the one its
             # verify borrows; the copy it would hold is the verified input itself
-            if not self.reduced_tree_verify_raw(coord, value, siblings, root_reg):
+            if self._verify("tree_node_quote", root_reg, RegisterState.CR, coord, value, siblings, 1) is None:
                 return None
             return self._quote(aik, nonce, "TREEQUOT", as_digest(value), coord=coord if include_coord else None)
 
@@ -880,12 +853,9 @@ class TreeTpm:
         """
         with self._lock:
             self._command("reduced_tree_quote", root_reg, coord)
-            register, meta = self._root(root_reg, complete=True)
-            check_coord(coord, meta.depth, allow_root=True)
-            if len(reduced_values) != len(coord):
-                raise ValueError(f"need {len(coord)} sibling values, got {len(reduced_values)}")
-            for value in (node_value, *reduced_values):
-                self.config.check(value)
+            register, meta = self._root(root_reg, RegisterState.CR)
+            siblings = [value.value for value in reduced_values]
+            self._check_inputs(coord, meta, siblings, node_value.value, allow_root=True)
             return self._quote(
                 aik, nonce, "REDTREEQUOT", node_value, coord=coord,
                 reduced_values=tuple(reduced_values), root_register=root_reg, root_value=as_digest(register.value),

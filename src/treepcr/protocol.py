@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 from .certification import (
     AttestationPackage,
+    CONCEALED,
     IssuePackage,
     LAYOUT_EMPTY,
     LAYOUT_FULL,
     Manifest,
+    REVEALED,
     SubtreeCertificate,
     binding_update_set,
 )
@@ -24,6 +26,7 @@ from .crypto import Digest, digest_from_wire, digest_to_wire
 from .encoding import EncodingError, decode_text, pack_fields, unpack_fields
 from .engine import Quote
 from .platform import Platform
+from .sca import OK, REJECT_PACKAGE
 from .tree import NodeRef
 from .updates import apply_update_set
 from .validator import BIND_BOUND_ROOT, BIND_NODE, BIND_STAR, ValidationBundle
@@ -91,7 +94,7 @@ def certify_subtree(
     nonce = sca.issue_nonce()
     quote = platform.quote_node(coord, nonce)
     if quote is None:
-        raise ProtocolError("reject-package", "platform could not verify its own node")
+        raise ProtocolError(REJECT_PACKAGE, "platform could not verify its own node")
     node_value = platform.tree.node(coord) if coord else platform.root()
 
     package = AttestationPackage(
@@ -101,7 +104,7 @@ def certify_subtree(
         aik_cert=platform.aik_cert if send_aik_cert else None,
     )
     outcome = sca.verify_and_issue(package)
-    if outcome.status != "issued" or outcome.package is None:
+    if outcome.status != OK or outcome.package is None:
         raise ProtocolError(outcome.status, outcome.detail)
     issue: IssuePackage = outcome.package
 
@@ -124,7 +127,7 @@ def default_binding(credential: SubtreeCredential) -> str:
     """The natural validation binding for how the credential was filed."""
     if credential.layout == LAYOUT_EMPTY:
         return BIND_NODE
-    if credential.certificate.mode == "concealed":
+    if credential.certificate.mode == CONCEALED:
         return BIND_STAR
     return BIND_BOUND_ROOT
 
@@ -153,9 +156,9 @@ def make_validation_bundle(
         raise ValueError(f"unknown binding {binding!r}")
     quote = platform.quote_node(quote_coord, nonce)
     if quote is None:
-        raise ProtocolError("reject-package", "platform could not verify the quoted node")
+        raise ProtocolError(REJECT_PACKAGE, "platform could not verify the quoted node")
 
-    revealed = credential.certificate.mode == "revealed"
+    revealed = credential.certificate.mode == REVEALED
     include_value = revealed or binding in (BIND_NODE, BIND_BOUND_ROOT)
     return ValidationBundle(
         quote=quote,

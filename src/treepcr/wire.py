@@ -3,9 +3,10 @@
 Frames are 4-byte big-endian length, one message-type byte, then a
 versioned payload (the canonical serializations of the protocol
 objects). Transport security is an environment concern: the service
-speaks plaintext by default and exposes a channel-wrapper hook where an
-encrypting transport can be slotted in. The service only frames: the
-authority it wraps checks each quote and records each issuance.
+speaks plaintext. A client takes a channel-wrapper hook, which carries
+every byte the client sends and receives (the benchmark counts frames and
+bytes through it). The service only frames: the authority it wraps checks
+each quote and records each issuance.
 """
 
 from __future__ import annotations
@@ -135,7 +136,6 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         server: ScaServer = self.server  # type: ignore[assignment]
         sock = self.request
-        channel = server.channel_wrapper(sock) if server.channel_wrapper else sock
         while True:
             try:
                 # a session may idle between frames; once a frame's first byte
@@ -143,12 +143,12 @@ class _Handler(socketserver.BaseRequestHandler):
                 if not sock.recv(1, socket.MSG_PEEK):
                     return
                 sock.settimeout(FRAME_DEADLINE)
-                msg_type, payload = read_frame(channel)
+                msg_type, payload = read_frame(sock)
                 sock.settimeout(None)
             except FrameError as exc:
                 # framing is broken: report once and drop the session
                 try:
-                    write_frame(channel, MSG_ERROR, _pack_error("bad-frame", str(exc)))
+                    write_frame(sock, MSG_ERROR, _pack_error("bad-frame", str(exc)))
                 except OSError:
                     pass
                 return
@@ -157,13 +157,13 @@ class _Handler(socketserver.BaseRequestHandler):
             try:
                 response = self._dispatch(server, msg_type, payload)
             except EncodingError as exc:
-                write_frame(channel, MSG_ERROR, _pack_error("bad-payload", str(exc)))
+                write_frame(sock, MSG_ERROR, _pack_error("bad-payload", str(exc)))
                 continue
             except Exception as exc:  # noqa: BLE001 - session must not take the service down
                 logger.exception("request failed")
-                write_frame(channel, MSG_ERROR, _pack_error("internal", str(exc)))
+                write_frame(sock, MSG_ERROR, _pack_error("internal", str(exc)))
                 continue
-            write_frame(channel, *response)
+            write_frame(sock, *response)
 
     def _dispatch(self, server: "ScaServer", msg_type: int, payload: bytes) -> tuple[int, bytes]:
         sca = server.sca
@@ -195,17 +195,10 @@ class ScaServer(socketserver.ThreadingTCPServer):
     # the default backlog of 5 overflows under connect bursts; each dropped SYN costs ~1 s
     request_queue_size = socket.SOMAXCONN
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        sca: SubtreeCa,
-        discovery=None,
-        channel_wrapper: ChannelWrapper | None = None,
-    ) -> None:
+    def __init__(self, address: tuple[str, int], sca: SubtreeCa, discovery=None) -> None:
         super().__init__(address, _Handler)
         self.sca = sca
         self.discovery = discovery
-        self.channel_wrapper = channel_wrapper
 
     def discovery_text(self) -> str:
         if self.discovery is not None:
@@ -214,13 +207,10 @@ class ScaServer(socketserver.ThreadingTCPServer):
 
 
 def start_server(
-    sca: SubtreeCa,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    channel_wrapper: ChannelWrapper | None = None,
+    sca: SubtreeCa, host: str = "127.0.0.1", port: int = 0
 ) -> tuple[ScaServer, threading.Thread, tuple[str, int]]:
     """Spin up a server thread; returns (server, thread, bound address)."""
-    server = ScaServer((host, port), sca, channel_wrapper=channel_wrapper)
+    server = ScaServer((host, port), sca)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread, server.server_address

@@ -1,5 +1,7 @@
 import cProfile
 import dataclasses
+import hashlib
+import logging
 import pstats
 import random
 import sys
@@ -24,6 +26,7 @@ from treepcr import (
     Digest,
     InsufficientRegisters,
     NodeRef,
+    Platform,
     RegisterState,
     SigningKey,
     StateViolation,
@@ -547,6 +550,40 @@ class TestQuotes:
             assert verify_quote(again, platform.aik.public)
             if quote.tag == "REDTREEQUOT":
                 assert refold_reduced_quote(again, SHA1)
+
+    #: (variant, signed payload, SHA-256 of the wire bytes) for a fixed key, log and nonce
+    PINNED = [
+        ("QUOT", "000000150107c83dc17e743fcde9971352b73b5f36703c02fc",
+         "0937f8871f7b4cee859bdb344bc09233dba70466d2bcb62f93cfee5a6c75e56d"),
+        ("TREEQUOT", "0000001501d21e5263695cc2b68bd19156e92eac8dbd5fac67",
+         "111d17b3c24c316d06d11e742fbde803b1f33aea2553fb7c34d727fcf2f44358"),
+        ("TREEQUOT-coord", "0000001501d21e5263695cc2b68bd19156e92eac8dbd5fac6700000003303130",
+         "c316fd0cdd8ddcee974b0fedc1edf22ea36cf1165f26faff2d7404efa42c227f"),
+        ("REDTREEQUOT-node",
+         "0000001501d21e5263695cc2b68bd19156e92eac8dbd5fac670000000400000003000000150128a45070d3ec5da7e59fed2b81"
+         "951878c034f75d000000150195dfa0c717c3fca2d43e4a2db212fab17e241ee50000001501916a110ecd8d2472a226bff212e6"
+         "121c5294877f0000000400000000000000150107c83dc17e743fcde9971352b73b5f36703c02fc",
+         "5ede1c9fdef1f16f33fe4348d679e5fe50f5af9bc505bbe322fc916bd351e0cd"),
+        ("REDTREEQUOT-root",
+         "000000150107c83dc17e743fcde9971352b73b5f36703c02fc00000004000000000000000400000000000000150107c83dc17e"
+         "743fcde9971352b73b5f36703c02fc",
+         "6bab8551c853dbdf5bba282c70aabc8e9758550eb1804bcf364ef50d93709c71"),
+    ]
+
+    @pytest.mark.parametrize("variant, payload, wire", PINNED, ids=[v for v, *_ in PINNED])
+    def test_quote_bytes_are_pinned(self, variant, payload, wire):
+        platform = Platform(3, aik=SigningKey.from_seed(bytes(range(32))))
+        for i in range(8):
+            platform.extend(SHA1.measure(b"leaf %d" % i))
+        quote = {
+            "QUOT": lambda: platform.quote_node("", b"pinned nonce"),
+            "TREEQUOT": lambda: platform.quote_node("010", b"pinned nonce"),
+            "TREEQUOT-coord": lambda: platform.quote_node("010", b"pinned nonce", include_coord=True),
+            "REDTREEQUOT-node": lambda: platform.quote_reduced("010", b"pinned nonce"),
+            "REDTREEQUOT-root": lambda: platform.quote_reduced("", b"pinned nonce"),
+        }[variant]()
+        assert quote.signed_payload().hex() == payload
+        assert hashlib.sha256(quote.to_bytes()).hexdigest() == wire
 
     def test_misplaced_reduced_tree_fields_refused(self, rng):
         platform = make_platform(random_leaves(rng, 2, count=4), 2)
@@ -1077,6 +1114,73 @@ def test_free_register_count_never_drifts(registers, depth, steps):
         except (TpmError, ValueError):
             pass  # a refused command must leave the count right too
         assert engine.free_register_count() == engine.register_count - len(engine.vdat())
+
+
+def _raised_by_device(exc):
+    """Whether ``exc`` came out of a device command (a refusal), not out of the platform's mirror."""
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_code.co_filename == engine_module.__file__:
+            return True
+        tb = tb.tb_next
+    return False
+
+
+def _device_state(engine, sessions):
+    """Everything a command may change, except the command count."""
+    return (
+        engine.vdat(),
+        [engine.register_value(i) for i in range(engine.register_count)],
+        dict(engine._sessions),
+        [session.status for session in sessions],
+        dataclasses.replace(engine.stats, commands=0),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    registers=st.integers(min_value=4, max_value=8),
+    depth=st.integers(min_value=1, max_value=3),
+    steps=st.lists(st.tuples(st.integers(min_value=0, max_value=15), st.integers(min_value=0, max_value=2**16)),
+                   max_size=40),
+)
+def test_each_command_counts_once_and_a_refusal_changes_nothing(registers, depth, steps):
+    platform = make_platform([], depth, register_count=registers)
+    engine, sessions = platform.engine, []
+    for op, arg in steps:
+        issued = 0 if op == 6 and not sessions else 1  # every op issues one device command, if any
+        before, commands = _device_state(engine, sessions), engine.stats.commands
+        try:
+            _run_command(platform, sessions, op, arg)
+        except (TpmError, ValueError) as exc:
+            if _raised_by_device(exc):
+                assert _device_state(engine, sessions) == before, f"op {op} was refused but changed the device"
+        assert engine.stats.commands - commands == issued, f"op {op}"
+
+
+@pytest.mark.parametrize(
+    "name, run",
+    [
+        ("reduced_tree_verify", lambda p: p.verify_node("010")),
+        ("tree_node_verify", lambda p: p.diagnose_node("010")),
+        ("tree_node_quote", lambda p: p.quote_node("010", b"n")),
+        ("reduced_tree_quote", lambda p: p.quote_reduced("010", b"n")),
+        ("tree_node_verified_update", lambda p: p.verified_update("010", SHA1.measure(b"new"))),
+        ("tree_extend", lambda p: p.extend(SHA1.measure(b"new"))),
+        ("create_tree", lambda p: p.engine.create_tree(0)),
+        ("restore_tree", lambda p: p.engine.restore_tree(0, NIL, "CR", 0)),
+        ("tree_fold", lambda p: p.engine.tree_fold_raw(0, [])),
+    ],
+)
+def test_a_command_is_logged_once_under_its_own_name(rng, caplog, name, run):
+    # a closed tree for the reads, an open one for the extend; depth 0 is refused
+    platform = make_platform(random_leaves(rng, 3, count=7 if name == "tree_extend" else 8), 3)
+    with caplog.at_level(logging.DEBUG, logger=engine_module.__name__):
+        try:
+            run(platform)
+        except ValueError as exc:
+            assert str(exc) == "tree depth must be at least 1"
+    assert [r.args[1] for r in caplog.records if r.msg == "cmd %d %s %s"] == [name]
 
 
 class TestPersistence:

@@ -236,15 +236,23 @@ class TestNaiveApply:
 
 class TestBulkEquivalence:
     def test_bulk_equals_naive_on_random_sets(self, rng):
-        for _ in range(120):
-            depth = rng.randint(2, 6)
+        # sibling-heavy sets, then cuts deep and wide enough (depth 4 or more, at
+        # least half a level of leaves) that a span can hold members at two levels
+        mixed = 0
+        for draw in range(240):
+            depth = rng.randint(2, 6) if draw < 120 else rng.randint(4, 6)
             leaves = random_leaves(rng, depth, count=1 << depth)
-            entries = sibling_heavy_antichain(rng, depth)
+            if draw < 120:
+                entries = sibling_heavy_antichain(rng, depth)
+            else:
+                entries = random_cut(rng, depth, rng.randint(1 << (depth - 1), 1 << depth))
+            mixed += any(len({len(m.coord) for m in s.members}) > 1 for s in find_intrinsic_subsets(entries, depth))
             naive, bulk = make_platform(leaves, depth), make_platform(leaves, depth)
             root_naive = apply_update_set(list(entries), naive)
             root_bulk = apply_update_set_bulk(list(entries), bulk)
             assert root_naive == root_bulk
             assert serialize_sml(naive.tree) == serialize_sml(bulk.tree)
+        assert mixed >= 5  # spans with members at two levels were drawn
 
     def test_bulk_saves_verified_operations(self, rng):
         entries = [

@@ -421,32 +421,37 @@ class TestService:
             time.sleep(0.3)  # the other session now idles past the deadline
             assert len(client.issue_nonce()) == 16
 
-    def test_channel_wrapper_hook(self, rng):
-        # a transforming wrapper on both ends still talks the same protocol
-        class XorChannel:
+    def test_client_channel_wrapper_sees_every_byte(self, served):
+        # the client's hook carries every byte of its round trips with a plain server
+        platform, _, _, address = served
+
+        class Recording:
             def __init__(self, sock):
-                self.sock = sock
+                self.sock, self.sent, self.received = sock, _Pipe(), _Pipe()
+                channels.append(self)
 
             def sendall(self, data):
-                self.sock.sendall(bytes(b ^ 0x5A for b in data))
+                self.sent.sendall(data)
+                self.sock.sendall(data)
 
             def recv(self, count):
-                return bytes(b ^ 0x5A for b in self.sock.recv(count))
+                data = self.sock.recv(count)
+                self.received.sendall(data)
+                return data
 
-        platform = make_platform(random_leaves(rng, 2, count=4), 2)
-        policy = PolicyTable()
-        policy.add(platform.tree.node("00"), [("function", "wrapped")])
-        sca = SubtreeCa(key=SigningKey.generate(), policy=policy)
-        server, _, address = start_server(sca, channel_wrapper=XorChannel)
-        try:
-            with ScaClient(address, channel_wrapper=XorChannel) as client:
-                assert len(client.issue_nonce()) == 16
-            with pytest.raises((ProtocolFrameError, FrameError, ConnectionError, OSError)):
-                with ScaClient(address) as plain:  # unwrapped client cannot talk
-                    plain.issue_nonce()
-        finally:
-            server.shutdown()
-            server.server_close()
+        channels = []
+        with ScaClient(address, channel_wrapper=Recording) as client:
+            nonce = client.issue_nonce()
+            quote = platform.quote_node("01", nonce)
+            outcome = client.verify_and_issue(AttestationPackage(quote, platform.aik.public))
+        assert outcome.status == OK and len(channels) == 1
+        sent, received = channels[0].sent, channels[0].received
+        assert read_frame(sent) == (MSG_NONCE, b"")
+        assert read_frame(received) == (MSG_NONCE_RESP, nonce)
+        assert read_frame(sent) == (MSG_ATTEST, AttestationPackage(quote, platform.aik.public).to_bytes())
+        msg_type, body = read_frame(received)
+        assert msg_type == MSG_ATTEST_RESP and IssuePackage.from_bytes(unpack_fields(body, count=3)[2])
+        assert sent.buffer.read() == received.buffer.read() == b""  # nothing else crossed
 
 
 def _record(issue: IssuePackage) -> str:
