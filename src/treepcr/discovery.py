@@ -3,6 +3,9 @@
 Active discovery runs on the platform over issuer-supplied discovery
 data: direct node-value search with optional relative-order conditions,
 and a bottom-up mode that guesses span roots from trusted leaf values.
+The direct search is one level sweep of the log (``tree.find_values``)
+for the certifiable and predecessor values together, with no Python work
+per node.
 Passive discovery runs on the issuer over a submitted subtree log; it
 issues certificates, so it lives in the authority (``sca.py``) beside
 the active issuance route and is re-exported here.
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .crypto import Digest, HashConfig, SHA1, parse_digest
 from .sca import PassiveResult, passive_discover  # noqa: F401  (re-exported)
-from .tree import NodeRef, SmlTree, leaf_interval, recompute_root
+from .tree import NodeRef, SmlTree, find_values, recompute_root
 
 
 @dataclass(frozen=True)
@@ -93,22 +96,31 @@ def active_discover(tree: SmlTree, data: DiscoveryData) -> DiscoveryResult:
 
     A value under a relative-order condition survives only when some node
     holding the required predecessor covers a leaf interval entirely to
-    the left of the match's own interval.
+    the left of the match's own interval. One level sweep
+    (``tree.find_values``) finds the certifiable and the predecessor values
+    together, and matches come breadth-first, left to right in a level.
     """
-    occupied = list(tree.occupied())
-    # the leftmost right edge of the leaf intervals holding each value
-    edge: dict[Digest, int] = {}
-    for ref in occupied:
-        end = leaf_interval(ref.coord, tree.depth)[1]
-        edge[ref.value] = min(end, edge.get(ref.value, end))
+    depth = tree.depth
+    targets = {value.value for value in data.values}
+    required: dict[bytes | None, list[bytes | None]] = {}
+    for target, pred in data.conditions:
+        required.setdefault(target.value, []).append(pred.value)
+    preds = {pred.value for _, pred in data.conditions}
+    found = find_values(tree, dict.fromkeys([*targets, *preds]).keys())
+    # the leftmost right edge of the leaf intervals holding each predecessor value
+    edge: dict[bytes, int] = {}
+    for level, index, value in found:
+        if value in preds:
+            end = ((index + 1) << (depth - level)) - 1
+            edge[value] = min(end, edge.get(value, end))
 
     matches = []
-    for ref in occupied:
-        if ref.value not in data.values:
+    for level, index, value in found:
+        if value not in targets:
             continue
-        start, _ = leaf_interval(ref.coord, tree.depth)
-        if all(edge.get(pred, start) < start for target, pred in data.conditions if target == ref.value):
-            matches.append(ref)
+        start = index << (depth - level)
+        if all(edge.get(pred, start) < start for pred in required.get(value, ())):
+            matches.append(NodeRef(format(index, f"0{level}b"), Digest(value)))
     return DiscoveryResult(matches=matches)
 
 

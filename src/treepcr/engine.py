@@ -26,11 +26,14 @@ the last leaf closes the tree (AR -> CR), as does a verified update.
 A register is allocated (written out of FREE) only when its state
 outlives the command: the root and build scratch of a seated tree, and
 the RT registers and session of a matched ``reduced_tree_verify_load``,
-which a later update consumes. Any other register a command needs is
-borrowed: counted as free, never written. The public ``NodeRef`` form of
-a command is an adapter: before it enters the command, it checks that the
-sibling and trace coordinates belong to the node; it hands the raw values
-to the same core and wraps what the core returns.
+which a later update consumes. The update acts only on the device's own
+record of the session (``_Armed``); the caller's ``UpdateSession`` is a
+handle, refused once it no longer matches that record. Any other
+register a command needs is borrowed: counted as free, never written.
+The public ``NodeRef`` form of a command is an adapter: before it enters
+the command, it checks that the sibling and trace coordinates belong to
+the node; it hands the raw values to the same core and wraps what the
+core returns.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ class SessionStatus(enum.Enum):
 
 @dataclass
 class UpdateSession:
-    """Binding between a verified load and the one update it authorises."""
+    """The caller's handle on a verified load and the one update it authorises."""
 
     session_id: int
     coord: str
@@ -291,6 +294,28 @@ def _raw_siblings(coord: str, reduced: ReducedTree) -> list[bytes | None]:
     return [ref.value.value for ref in reduced]
 
 
+@dataclass(frozen=True)
+class _Armed:
+    """The device's record of an armed session: the node, root register, tree
+    and RT registers that its update acts on, and the handle it was issued as."""
+
+    handle: UpdateSession
+    coord: str
+    root_reg: int
+    tree_uid: str
+    buffer_regs: tuple[int, ...]
+    staging_reg: int
+
+    @property
+    def bound(self) -> frozenset[int]:
+        return frozenset(self.buffer_regs) | {self.staging_reg, self.root_reg}
+
+    def issued_as(self, session: UpdateSession) -> bool:
+        """Whether ``session`` still holds what this record issued it with."""
+        held = (session.coord, session.root_reg, session.buffer_regs, session.staging_reg, session.status)
+        return held == (self.coord, self.root_reg, self.buffer_regs, self.staging_reg, SessionStatus.ARMED)
+
+
 @dataclass
 class _TreeMeta:
     uid: str
@@ -313,7 +338,7 @@ class TreeTpm:
         self._trees: dict[str, _TreeMeta] = {}
         # armed sessions only: each holds RT registers of its own, so the
         # table never outgrows the register file
-        self._sessions: dict[int, UpdateSession] = {}
+        self._sessions: dict[int, _Armed] = {}
         self._lock = threading.RLock()
         self._session_counter = itertools.count(1)
         self._tree_counter = itertools.count(1)
@@ -329,6 +354,11 @@ class TreeTpm:
 
     def register_state(self, reg: int) -> RegisterState:
         return self._reg(reg).state
+
+    def rooted_tree(self, reg: int) -> str | None:
+        """The uid of the tree that register ``reg`` roots; None when it roots none."""
+        register = self._reg(reg)
+        return register.tree_uid if register.coord == "" else None
 
     def vdat(self) -> dict[int, VdatEntry]:
         """Verification data allocation table: per-register state view."""
@@ -376,11 +406,11 @@ class TreeTpm:
         if not self._sessions:
             return
         touched = set(regs)
-        for session in list(self._sessions.values()):
-            if touched & session.bound_registers():
-                session.status = SessionStatus.INVALIDATED
-                del self._sessions[session.session_id]
-                logger.debug("session %d invalidated by registers %s", session.session_id, sorted(touched))
+        for session_id, armed in list(self._sessions.items()):
+            if touched & armed.bound:
+                armed.handle.status = SessionStatus.INVALIDATED
+                del self._sessions[session_id]
+                logger.debug("session %d invalidated by registers %s", session_id, sorted(touched))
 
     # -- the command prologue ----------------------------------------------
 
@@ -656,10 +686,9 @@ class TreeTpm:
                 self._regs[slot].coord, self._regs[slot].value = slot_coord, slot_value
             session_id = next(self._session_counter)
             nonce = pack_u32(self.stats.commands) + pack_u32(session_id)
-            session = UpdateSession(
-                session_id, coord, root_reg, tuple(slots[:-1]), slots[-1], nonce, self._session_auth(nonce)
-            )
-            self._sessions[session_id] = session
+            buffers, staging = tuple(slots[:-1]), slots[-1]
+            session = UpdateSession(session_id, coord, root_reg, buffers, staging, nonce, self._session_auth(nonce))
+            self._sessions[session_id] = _Armed(session, coord, root_reg, meta.uid, buffers, staging)
             return VerifyLoadResult(_trace(coord, path), session)
 
     def _verify(self, name: str, root_reg: int, state: RegisterState | None, coord: str, value, siblings, need, *new):
@@ -723,10 +752,12 @@ class TreeTpm:
             return None
 
     def reduced_tree_update(self, session: UpdateSession, new_value: Digest) -> UpdateResult:
-        """Consume an armed session: write the new node value and refold the root."""
+        """Consume an armed session, found by its handle's identity: write the new
+        node value and refold the root, as the device's record of the session says."""
         with self._lock:
             self._command("reduced_tree_update", session.root_reg, session.coord)
-            if self._sessions.get(session.session_id) is not session:
+            armed = self._sessions.get(session.session_id)
+            if armed is None or armed.handle is not session:
                 if session.status is SessionStatus.CONSUMED:
                     raise BindingViolation("update session already consumed")
                 if session.status is SessionStatus.INVALIDATED:
@@ -734,19 +765,23 @@ class TreeTpm:
                 raise BindingViolation("unknown update session")
             if self._session_auth(session.nonce) != session.auth:
                 raise BindingViolation("session authorisation digest mismatch")
-            for slot in (*session.buffer_regs, session.staging_reg):
+            if not armed.issued_as(session):
+                raise BindingViolation("update session handle no longer matches the armed session")
+            for slot in (*armed.buffer_regs, armed.staging_reg):
                 if self._regs[slot].state is not RegisterState.RT:
                     raise BindingViolation(f"bound register {slot} left the RT state")
-            register, meta = self._root(session.root_reg)
+            register, meta = self._root(armed.root_reg)
+            if meta.uid != armed.tree_uid:
+                raise BindingViolation(f"register {armed.root_reg} no longer roots the session's tree")
             new = self.config.check(new_value).value
             session.status = SessionStatus.CONSUMED
             del self._sessions[session.session_id]
-            siblings = [self._regs[slot].value for slot in session.buffer_regs]
-            path = fold_path(new, session.coord, siblings, self.config)
+            siblings = [self._regs[slot].value for slot in armed.buffer_regs]
+            path = fold_path(new, armed.coord, siblings, self.config)
             # the consumed session was the only one bound to its RT registers
-            self._free_regs((*session.buffer_regs, session.staging_reg))
+            self._free_regs((*armed.buffer_regs, armed.staging_reg))
             self._write_root(register, meta, path)
-            return UpdateResult(session.coord, path)
+            return UpdateResult(armed.coord, path)
 
     def _write_root(self, register: Register, meta: _TreeMeta, path: list[bytes | None]) -> None:
         """Finish an update: write the new root and seal the tree."""

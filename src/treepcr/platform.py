@@ -12,7 +12,10 @@ or a verified update writes the raw path the device returns with one
 node, and the device checks every value the mirror hands it, since the
 mirror is untrusted state. Each read and write holds the device's lock
 from its first mirror access to its last, so concurrent callers see the
-mirror and the root register change together.
+mirror and the root register change together. The platform keeps the uid
+of the tree it seated, and each call that acts through ``root_reg`` first
+checks, under the lock and before any device command, that the register
+still roots that tree (``StateViolation`` if not).
 """
 
 from __future__ import annotations
@@ -52,35 +55,48 @@ class Platform:
         self.engine = TreeTpm(register_count, config)
         self.config = config
         self.root_reg = self.engine.create_tree(depth)
+        self._tree_uid = self.engine.rooted_tree(self.root_reg)
         self.tree = SmlTree(depth, config, root_register=self.root_reg)
         self.aik = aik or SigningKey.generate()
         self.aik_cert = aik_cert
 
     # -- measurement -------------------------------------------------------
 
+    def _root_reg(self) -> int:
+        """``root_reg``, once it is seen to root this platform's tree still; call
+        under the device lock, before any device command."""
+        reg = self.root_reg
+        if self.engine.rooted_tree(reg) != self._tree_uid:
+            raise StateViolation(f"register {reg} no longer roots this platform's tree")
+        return reg
+
     def extend(self, measurement: Digest) -> Digest:
         """Feed one measurement to the device and mirror the returned delta."""
         with self.engine._lock:
-            index, path, _ = self.engine.tree_extend_raw(self.root_reg, measurement.value)
+            reg = self._root_reg()
+            index, path, _ = self.engine.tree_extend_raw(reg, measurement.value)
             self.tree.set_path(self.tree.depth, index, path)
             self.tree.leaf_count = index + 1
-            return self.root()
+            return self.engine.register_value(reg)
 
     def extend_data(self, data: bytes) -> Digest:
         return self.extend(self.config.measure(data))
 
     def close(self) -> None:
-        self.engine.close_tree(self.root_reg)
+        with self.engine._lock:
+            self.engine.close_tree(self._root_reg())
 
     @property
     def depth(self) -> int:
         return self.tree.depth
 
     def root(self) -> Digest:
-        return self.engine.register_value(self.root_reg)
+        with self.engine._lock:
+            return self.engine.register_value(self._root_reg())
 
     def root_state(self) -> RegisterState:
-        return self.engine.register_state(self.root_reg)
+        with self.engine._lock:
+            return self.engine.register_state(self._root_reg())
 
     def node(self, coord: str) -> NodeRef:
         return NodeRef(coord, self.tree.node(coord))
@@ -96,14 +112,16 @@ class Platform:
     def verify_node(self, coord: str) -> bool:
         """Check the stored node value against the protected root."""
         with self.engine._lock:
+            reg = self._root_reg()
             value, siblings, _ = read_path(self.tree, coord)
-            return self.engine.reduced_tree_verify_raw(coord, value, siblings, self.root_reg)
+            return self.engine.reduced_tree_verify_raw(coord, value, siblings, reg)
 
     def diagnose_node(self, coord: str) -> NodeVerifyBreach | None:
         """Top-down walk reporting the first breached level, None when intact."""
         with self.engine._lock:
+            reg = self._root_reg()
             _, siblings, trace = read_path(self.tree, coord)
-            return self.engine.tree_node_verify_raw(coord, siblings, trace, self.root_reg)
+            return self.engine.tree_node_verify_raw(coord, siblings, trace, reg)
 
     # -- update ------------------------------------------------------------
 
@@ -114,8 +132,9 @@ class Platform:
         and is blanked in the mirror.
         """
         with self.engine._lock:
+            reg = self._root_reg()
             value, siblings, _ = read_path(self.tree, coord)
-            path = self.engine.tree_node_verified_update_raw(coord, value, siblings, new_value.value, self.root_reg)
+            path = self.engine.tree_node_verified_update_raw(coord, value, siblings, new_value.value, reg)
             if path is None:
                 return None
             self._mirror_update(coord, path[:-1])
@@ -137,25 +156,25 @@ class Platform:
 
         Protocol rule: quoting requires the root to be complete (CR).
         """
-        if coord == "":
-            if self.root_state() is not RegisterState.CR:
-                raise StateViolation("root quotes for certification require a complete (CR) root")
-            return self.engine.quote_register(self.root_reg, self.aik, nonce)
         with self.engine._lock:
+            reg = self._root_reg()
+            if coord == "":
+                if self.engine.register_state(reg) is not RegisterState.CR:
+                    raise StateViolation("root quotes for certification require a complete (CR) root")
+                return self.engine.quote_register(reg, self.aik, nonce)
             value, siblings, _ = read_path(self.tree, coord)
-            return self.engine.tree_node_quote_raw(
-                coord, value, siblings, self.root_reg, self.aik, nonce, include_coord
-            )
+            return self.engine.tree_node_quote_raw(coord, value, siblings, reg, self.aik, nonce, include_coord)
 
     def quote_reduced(self, coord: str, nonce: bytes) -> Quote:
         """Reduced-tree quote: signs node, siblings, and root for receiver-side folding."""
         with self.engine._lock:
+            reg = self._root_reg()
             if coord:
                 value, siblings, _ = read_path(self.tree, coord)
                 node_value, values = as_digest(value), [as_digest(sibling) for sibling in siblings]
             else:
                 node_value, values = self.root(), []
-            return self.engine.reduced_tree_quote(node_value, values, coord, self.root_reg, self.aik, nonce)
+            return self.engine.reduced_tree_quote(node_value, values, coord, reg, self.aik, nonce)
 
     # -- persistence (process-spanning emulation) ---------------------------
 
@@ -182,6 +201,7 @@ class Platform:
         self.root_reg = self.engine.restore_tree(
             tree.depth, doc.root_value, doc.root_state, tree.leaf_count, frontier
         )
+        self._tree_uid = self.engine.rooted_tree(self.root_reg)
         self.tree = tree.copy()
         self.tree.root_register = self.root_reg
         self.aik = aik or SigningKey.generate()

@@ -10,6 +10,10 @@ and ``passive_discover`` (every recognisable node of a quoted subtree
 log) share one quote admission (the only check of a submitted quote),
 one identity-certificate policy, one log check and one ``_issue``, which
 writes the one issuance record on every route, in-process or wired.
+The passive search looks the claimed root up, then sweeps the log top
+down a level at a time (``tree.find_values``), scanning only the index
+ranges that no recognised node above covers, with no Python work per
+node.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .certification import (
 )
 from .crypto import Digest, HashConfig, SHA1, SigningKey, VerifyingKey, parse_digest
 from .engine import Quote, refold_reduced_quote, verify_quote
-from .tree import MAX_DEPTH, NodeRef, SmlTree, check_coord, find_inconsistency, parse_sml
+from .tree import MAX_DEPTH, NodeRef, SmlTree, check_coord, find_inconsistency, find_values, parse_sml
 
 logger = logging.getLogger(__name__)
 
@@ -320,14 +324,15 @@ def passive_discover(
 
 
 def _certifiable_roots(sca: SubtreeCa, root: NodeRef, subtree: SmlTree) -> list[NodeRef]:
-    """Maximal recognisable nodes, top-down and left first; disjoint by construction."""
-    found: list[NodeRef] = []
-    todo = [""]  # relative coordinates, next one last
-    while todo:
-        rel = todo.pop()
-        value = subtree.node(rel) if rel else root.value
-        if sca.policy.lookup(value) is not None:  # never for the nil value
-            found.append(NodeRef(root.coord + rel, value))
-        elif len(rel) < subtree.depth:
-            todo += (rel + "1", rel + "0")
-    return found
+    """Maximal recognisable nodes, leftmost leaf first; disjoint by construction.
+
+    The claimed root value is looked up first; below it, one level sweep
+    (``tree.find_values``) finds the policy's values top-down, scanning each
+    level only where no node found above covers it.
+    """
+    if sca.policy.lookup(root.value) is not None:  # never for the nil value
+        return [NodeRef(root.coord, root.value)]
+    depth = subtree.depth
+    found = find_values(subtree, sca.policy.entries.keys(), maximal=True)
+    found.sort(key=lambda hit: hit[1] << (depth - hit[0]))  # disjoint, so each starts its own leaves
+    return [NodeRef(root.coord + format(index, f"0{level}b"), Digest(value)) for level, index, value in found]

@@ -17,12 +17,15 @@ value crosses the public API. Each input is checked once, where it enters
 Whole-log work runs as level sweeps; ``recompute_root``,
 ``find_inconsistency`` and the device's scratch fold share one
 row-at-a-time fold, ``fold_row``, and ``set_rows`` writes such a fold's
-rows back one slice per level. The file format is the
-coordinate-string text shown in the README and does not depend on this
-layout. ``fold_path`` is the one fold of a node through its sibling list
-(its Merkle audit path), on raw values, for an update and a load's trace;
-device verifies, node quotes and the receiver's refold of a reduced quote
-run ``fold_root``, the same fold kept to its last value.
+rows back one slice per level. ``find_values`` is the one search of a log
+for known values, for both discovery routes: a set meets each level, or
+each slice of one still to scan, in C, so Python works per hit. The file
+format is the coordinate-string text shown in the README and does not
+depend on this layout. ``fold_path`` is the one fold of a node through
+its sibling list (its Merkle audit path), on raw values, for an update
+and a load's trace; device verifies, node quotes and the receiver's
+refold of a reduced quote run ``fold_root``, the same fold kept to its
+last value.
 ``read_path`` is the one read of a node's path: its raw value, siblings and
 trace by index. The platform hands those raw values to the device;
 ``build_reduced_tree``/``build_trace`` wrap them as public ``NodeRef`` lists.
@@ -53,8 +56,9 @@ import copy
 import struct
 from binascii import hexlify
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, KeysView, NamedTuple, Sequence
 
 from .crypto import Digest, HashConfig, SHA1, as_digest, extend_raw, parse_digest, parse_raw
 from .encoding import EncodingError
@@ -267,12 +271,6 @@ class SmlTree:
             lo, hi = index << shift, (index + 1) << shift
             self._levels[k][lo:hi] = [None] * (hi - lo)
 
-    def occupied(self) -> Iterator[NodeRef]:
-        for level in range(1, self.depth + 1):
-            for index, value in enumerate(self._levels[level]):
-                if value is not None:
-                    yield NodeRef(format(index, f"0{level}b"), Digest(value))
-
     def copy(self) -> "SmlTree":
         dup = copy.copy(self)
         dup._levels = [row[:] for row in self._levels]
@@ -357,6 +355,43 @@ def find_inconsistency(tree: SmlTree, claimed_root: Digest | None = None) -> Coo
     if claimed_root is not None and fold_row(new, levels[1])[0] != claimed_root.value:
         return ""
     return None
+
+
+def find_values(tree: SmlTree, values: KeysView[bytes], maximal: bool = False) -> list[tuple[int, int, bytes]]:
+    """The nodes of the log that hold one of ``values``, as ``(level, index, value)``:
+    level by level from level 1, in index order within a level. Nil never matches.
+
+    ``values`` is a dict's keys view, which meets a slice of a level in one
+    C-level pass; only a slice that holds a hit is passed again, in C, to
+    place its hits, so Python works per hit, not per node. With ``maximal``
+    only nodes with no hit above them are found: each level is scanned only
+    over the index ranges no hit covers, and the sweep stops at the first
+    level that hits cover whole.
+    """
+    found: list[tuple[int, int, bytes]] = []
+    ranges = [(0, 2)]  # the index ranges of the current level still to scan
+    for level, row in enumerate(tree._levels[1:], 1):
+        if not maximal:
+            ranges = [(0, len(row))]
+        elif not ranges:
+            break
+        below = []
+        for lo, hi in ranges:
+            for index in _hits(row, values, lo, hi):
+                found.append((level, index, row[index]))
+                below.append((2 * lo, 2 * index))
+                lo = index + 1
+            below.append((2 * lo, 2 * hi))
+        ranges = [(lo, hi) for lo, hi in below if lo < hi]
+    return found
+
+
+def _hits(row: list[bytes | None], values: KeysView[bytes], lo: int, hi: int) -> list[int]:
+    """The indices in ``lo..hi-1``, ascending, whose value is in ``values`` (never nil)."""
+    window = row[lo:hi]
+    found = values & window
+    found.discard(None)
+    return list(compress(range(lo, hi), map(found.__contains__, window))) if found else []
 
 
 def fold_row(new, row: list[bytes | None]) -> list[bytes | None]:

@@ -281,3 +281,21 @@ def brute_bottom_up_candidates(tree, data):
                 candidates.append(SpanCandidate(parent, parent_value, full=False, missing=missing))
     candidates.sort(key=lambda c: (len(c.coord), c.coord, not c.full))
     return DiscoveryResult(candidates=candidates)
+
+
+def brute_certifiable_roots(
+    nodes: dict[str, bytes | None], depth: int, coord: str, root: bytes | None, values: set[bytes]
+) -> list[tuple[str, bytes]]:
+    """Maximal nodes at or below ``coord`` whose value is in ``values``, as
+    (coordinate, value), by recursion with the left child first; the root
+    position's value is ``root``, and nil is never listed."""
+
+    def walk(at: str) -> list[tuple[str, bytes]]:
+        value = nodes[at] if at else root
+        if value is not None and value in values:
+            return [(at, value)]
+        if len(at) == depth:
+            return []
+        return walk(at + "0") + walk(at + "1")
+
+    return walk(coord)

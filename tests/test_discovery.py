@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import random
 import secrets
 
@@ -8,12 +10,17 @@ from conftest import make_platform
 from oracle import (
     brute_active_matches,
     brute_bottom_up_candidates,
+    brute_certifiable_roots,
     brute_span_candidates,
     build_full_tree,
+    oracle_extend,
+    oracle_first_inconsistency,
+    oracle_update,
     random_digest,
     random_leaves,
 )
-from treepcr import NIL, SHA256, Digest, NodeRef, SHA1, SigningKey, extract_subtree, serialize_sml
+from treepcr import NIL, SHA256, Digest, NodeRef, Platform, SHA1, SigningKey, extract_subtree, serialize_sml
+from treepcr.crypto import as_digest
 from treepcr.certification import build_attestation_package, issue_ref_value
 from treepcr.discovery import (
     DiscoveryData,
@@ -31,7 +38,10 @@ from treepcr.sca import (
     PolicyTable,
     SubtreeCa,
 )
-from treepcr.tree import MAX_DEPTH
+from treepcr import sca as sca_module, tree as tree_module
+from treepcr.engine import RegisterState
+from treepcr.tree import MAX_DEPTH, SmlTree
+from treepcr.wire import pack_passive_result
 from treepcr.validator import validate_subtree
 from treepcr.protocol import make_validation_bundle
 
@@ -138,9 +148,10 @@ class TestActiveDiscover:
                 values=frozenset(Digest(v) for v in values),
                 conditions=tuple((Digest(t), Digest(p)) for t, p in conditions),
             )
-            got = sorted(m.coord for m in active_discover(platform.tree, data).matches)
+            got = active_discover(platform.tree, data).matches
             expected = brute_active_matches(nodes, depth, values, conditions)
-            assert got == expected
+            # breadth-first, left to right within a level
+            assert got == [NodeRef(c, Digest(nodes[c])) for c in sorted(expected, key=lambda c: (len(c), c))]
             targets = [t for t, _ in conditions]
             two_preds += any(targets.count(t) > 1 for t in targets)
             outside += any(p not in values for _, p in conditions)
@@ -383,6 +394,149 @@ class TestPassive:
         assert result.status == REJECT_SUBTREE
         assert result.detail == "hash algorithm mismatch"
         assert result.candidates == []
+
+
+class TestPassiveMatchesOracle:
+    """Both passive routes against ``brute_certifiable_roots``: the same maximal
+    nodes, in the same order (leftmost leaf first)."""
+
+    @staticmethod
+    def _check(platform, nodes, root, coord, values):
+        """Submit the subtree at ``coord`` lazily and quoted; returns how many
+        of the two were compared with the oracle (a refused log is not)."""
+        depth = platform.depth
+        sca = sca_with([Digest(v) for v in values])
+        claimed = NodeRef(coord, as_digest(nodes[coord] if coord else root))
+        sub = extract_subtree(platform.tree, coord) if coord else platform.tree.copy()
+        # the submitted log as the authority audits it: relative coordinates, its own root
+        relative = {c[len(coord):]: v for c, v in nodes.items() if c.startswith(coord) and c != coord}
+        bad = oracle_first_inconsistency(relative, depth - len(coord))
+        expected = [NodeRef(c, Digest(v)) for c, v in brute_certifiable_roots(nodes, depth, coord, root, values)]
+
+        lazy = passive_discover(sca, claimed, sub, quote=None)
+        if bad is not None:
+            assert (lazy.status, lazy.inconsistent_coord) == (REJECT_SUBTREE, bad)
+            return 0
+        assert lazy.status == "quotes-required" and lazy.candidates == expected
+        # a node below an updated one no longer verifies, so the device quotes none
+        quote = platform.quote_node(coord, sca.issue_nonce())
+        if quote is None:
+            return 1
+        quoted = passive_discover(sca, claimed, sub, quote=quote, aik_pub=platform.aik.public)
+        if oracle_extend(relative["0"], relative["1"]) != claimed.value.value:
+            assert (quoted.status, quoted.inconsistent_coord) == (REJECT_SUBTREE, "")
+            return 1
+        assert quoted.status == OK and quoted.candidates == expected
+        assert [c for c, _ in quoted.certificates] == [ref.coord for ref in expected]
+        return 2
+
+    def test_random_logs(self, rng):
+        # leaves from a small pool with nil in it, so values repeat across
+        # levels; a third of the logs then take a verified update, which
+        # blanks the subtree below it (and refuses a submission holding it)
+        compared = blanked = with_root = several = 0
+        for _ in range(300):
+            depth = rng.randint(1, 7)
+            pool = [random_digest(rng) for _ in range(rng.randint(1, 3))] + [None]
+            leaves = [rng.choice(pool) for _ in range(rng.randint(0, 1 << depth))]
+            platform = make_platform(leaves, depth)
+            nodes, root = build_full_tree(leaves, depth)
+            if rng.random() < 0.35:
+                target = format(rng.randrange(1 << depth), f"0{depth}b")[: rng.randint(1, depth)]
+                new = rng.choice([v for v in pool if v is not None] + [random_digest(rng)])
+                platform.verified_update(target, Digest(new))
+                nodes, root = oracle_update(nodes, target, new)
+                blanked += len(target) < depth
+            elif platform.root_state() is RegisterState.AR:
+                platform.close()
+            level = rng.randint(0, depth - 1)
+            coord = format(rng.randrange(1 << level), f"0{level}b") if level else ""
+            top = nodes[coord] if coord else root
+            present = sorted({v for c, v in nodes.items() if c.startswith(coord) and v is not None} - {top})
+            values = set(rng.sample(present, min(len(present), rng.randint(0, 4))))
+            values |= {random_digest(rng) for _ in range(rng.randint(0, 2))}
+            if top is not None and rng.random() < 0.2:
+                values.add(top)
+                with_root += 1
+            compared += self._check(platform, nodes, root, coord, values)
+            several += len(brute_certifiable_roots(nodes, depth, coord, root, values)) > 1
+        assert compared > 400 and blanked > 50 and with_root > 30 and several > 50
+
+    @pytest.mark.parametrize("coord", ["", "1"])
+    @pytest.mark.parametrize("listed", ["every-node", "every-node-but-the-root", "no-node"])
+    def test_fixed_policies(self, rng, coord, listed):
+        depth = 5
+        leaves = random_leaves(rng, depth, count=1 << depth)
+        platform = make_platform(leaves, depth)
+        nodes, root = build_full_tree(leaves, depth)
+        below = {v for c, v in nodes.items() if c.startswith(coord) and c != coord}
+        top = nodes[coord] if coord else root
+        values = {"every-node": below | {top}, "every-node-but-the-root": below, "no-node": set()}[listed]
+        assert self._check(platform, nodes, root, coord, values) == 2
+        expected = {"every-node": [coord], "every-node-but-the-root": [coord + "0", coord + "1"], "no-node": []}
+        assert [c for c, _ in brute_certifiable_roots(nodes, depth, coord, root, values)] == expected[listed]
+
+    def test_result_bytes_are_pinned(self):
+        # a fixed log, policy, keys and clock: the lazy and the quoted result
+        # bytes, computed before the search became a level sweep
+        platform = Platform(4, aik=SigningKey.from_seed(bytes(range(32))))
+        for i in range(16):
+            platform.extend(SHA1.measure(b"leaf %d" % i))
+        sca = sca_with([platform.tree.node(c) for c in ("0011", "01", "000", "1")], clock=lambda: 1_700_000_000)
+        sub = extract_subtree(platform.tree, "0")
+        lazy = passive_discover(sca, platform.node("0"), sub, quote=None)
+        quote = platform.quote_node("0", sca.issue_nonce())
+        quoted = passive_discover(sca, platform.node("0"), sub, quote=quote, aik_pub=platform.aik.public)
+        assert [r.coord for r in quoted.candidates] == ["000", "0011", "01"]
+        assert hashlib.sha256(pack_passive_result(lazy)).hexdigest() == (
+            "dd19bed95c05245f7ef3ff899193fb8c09f6e1ed6e94a01431b85ce9388ca0ce"
+        )
+        assert hashlib.sha256(pack_passive_result(quoted)).hexdigest() == (
+            "f73961e0329ad7503aba42e6317b3574453fb7349cc939e39d93edb4ec1e1ea0"
+        )
+
+
+class TestSearchesAreSweeps:
+    """Both searches read the log a level at a time: a per-node walk, which
+    checks a coordinate or reads ``SmlTree.node`` for each node, fails here."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        check = counted("check_coord", tree_module.check_coord)
+        monkeypatch.setattr(tree_module, "check_coord", check)
+        monkeypatch.setattr(sca_module, "check_coord", check)
+        monkeypatch.setattr(SmlTree, "node", counted("node", SmlTree.node))
+        return counts
+
+    @pytest.fixture
+    def platform(self, rng):
+        return make_platform(random_leaves(rng, 12, count=1 << 12), 12)
+
+    def test_passive_search_checks_only_the_root_coordinate(self, rng, platform, calls):
+        sca = sca_with([Digest(random_digest(rng)) for _ in range(8)])
+        submitted = platform.tree.copy()
+        calls.clear()
+        result = passive_discover(sca, NodeRef("", platform.root()), submitted, quote=None)
+        assert (result.status, result.candidates) == ("quotes-required", [])
+        assert calls["check_coord"] <= 1 and calls["node"] == 0
+
+    def test_active_search_checks_no_coordinate(self, rng, platform, calls):
+        pred = platform.tree.node(format(7, "012b"))
+        coords = [format(rng.randrange(1 << level), f"0{level}b") for level in (2, 6, 12)]
+        values = frozenset(platform.tree.node(coord) for coord in coords) | {pred}
+        data = DiscoveryData(values=values, conditions=tuple((value, pred) for value in values if value != pred))
+        calls.clear()
+        assert active_discover(platform.tree, data).matches
+        assert calls["check_coord"] == 0 and calls["node"] == 0
 
 
 class TestLeafCoverage:

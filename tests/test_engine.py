@@ -446,6 +446,111 @@ class TestSessionBinding:
         assert session.status is SessionStatus.ARMED
 
 
+def _flip(raw):
+    return bytes(b ^ 1 for b in raw)
+
+
+class TestSessionRecord:
+    """The device acts on its own record of an armed session; the caller's
+    ``UpdateSession`` is a handle, and a handle that no longer matches the
+    record is refused with nothing changed but the command count."""
+
+    def _two_trees(self, rng):
+        # a depth-2 platform with node 01 loaded, and a second full tree on its device
+        platform = make_platform(random_leaves(rng, 2, count=4), 2)
+        engine = platform.engine
+        other = engine.create_tree(2)
+        for raw in random_leaves(rng, 2, count=4):
+            engine.tree_extend_raw(other, raw)
+        loaded = engine.reduced_tree_verify_load(platform.node("01"), platform.reduced("01"), platform.root_reg)
+        return platform, other, loaded.session
+
+    def _refused(self, platform, session, message):
+        engine = platform.engine
+        before, commands = _device_state(platform, [session]), engine.stats.commands
+        with pytest.raises(BindingViolation, match=message):
+            engine.reduced_tree_update(session, SHA1.measure(b"new"))
+        assert engine.stats.commands == commands + 1
+        assert _device_state(platform, [session]) == before
+
+    def test_redirected_root_register_refused(self, rng):
+        platform, other, session = self._two_trees(rng)
+        before = platform.engine.register_value(other)
+        session.root_reg = other
+        self._refused(platform, session, "no longer matches the armed session")
+        assert platform.engine.register_value(other) == before
+
+    def test_redirected_coordinate_refused(self, rng):
+        platform, _, session = self._two_trees(rng)
+        session.coord = "00"
+        self._refused(platform, session, "no longer matches the armed session")
+
+    @pytest.mark.parametrize(
+        "field, mutate, message",
+        [
+            ("session_id", lambda s, other: s.session_id + 1, "unknown update session"),
+            ("coord", lambda s, other: "00", "no longer matches"),
+            ("root_reg", lambda s, other: other, "no longer matches"),
+            ("buffer_regs", lambda s, other: s.buffer_regs[::-1], "no longer matches"),
+            ("staging_reg", lambda s, other: s.buffer_regs[0], "no longer matches"),
+            ("nonce", lambda s, other: _flip(s.nonce), "session authorisation digest mismatch"),
+            ("auth", lambda s, other: _flip(s.auth), "session authorisation digest mismatch"),
+            ("status", lambda s, other: SessionStatus.INVALIDATED, "no longer matches"),
+        ],
+    )
+    def test_each_mutated_field_refused_then_restored(self, rng, field, mutate, message):
+        platform, other, session = self._two_trees(rng)
+        assert len(dataclasses.fields(UpdateSession)) == 8  # a new field needs a row here
+        kept = getattr(session, field)
+        setattr(session, field, mutate(session, other))
+        self._refused(platform, session, message)
+        # the refusal spent nothing: the restored handle still updates node 01
+        setattr(session, field, kept)
+        new = SHA1.measure(b"restored")
+        assert platform.engine.reduced_tree_update(session, new).coord == "01"
+
+    def test_invalidation_follows_the_record(self, rng):
+        # a handle pointed at another root is still invalidated when its own root is written
+        platform, other, session = self._two_trees(rng)
+        session.root_reg = other
+        platform.verified_update("10", Digest(random_digest(rng)))
+        assert session.status is SessionStatus.INVALIDATED
+        session.root_reg = platform.root_reg
+        with pytest.raises(BindingViolation, match="invalidated"):
+            platform.engine.reduced_tree_update(session, SHA1.measure(b"late"))
+
+
+class TestPlatformRoot:
+    """A platform acts only through a root register that still roots the tree it seated."""
+
+    CALLS = {
+        "extend": lambda p: p.extend(SHA1.measure(b"x")),
+        "close": lambda p: p.close(),
+        "root": lambda p: p.root(),
+        "root_state": lambda p: p.root_state(),
+        "verify_node": lambda p: p.verify_node("0"),
+        "diagnose_node": lambda p: p.diagnose_node("0"),
+        "verified_update": lambda p: p.verified_update("0", SHA1.measure(b"x")),
+        "quote_node": lambda p: p.quote_node("0", b"n"),
+        "quote_root": lambda p: p.quote_node("", b"n"),
+        "quote_reduced": lambda p: p.quote_reduced("0", b"n"),
+        "to_document": lambda p: p.to_document(),
+    }
+
+    @pytest.mark.parametrize("reseat", [True, False], ids=["reseated", "released"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_a_released_root_is_refused_before_any_command(self, call, reseat):
+        platform = Platform(1, register_count=4)
+        engine = platform.engine
+        engine.release(platform.root_reg)
+        if reseat:
+            assert engine.create_tree(2) == platform.root_reg  # the freed register is reused
+        before, commands = _device_state(platform, []), engine.stats.commands
+        with pytest.raises(StateViolation, match="no longer roots this platform's tree"):
+            self.CALLS[call](platform)
+        assert engine.stats.commands == commands and _device_state(platform, []) == before
+
+
 class TestQuotes:
     def test_tree_node_quote_round_trip(self, rng):
         platform = make_platform(random_leaves(rng, 2, count=4), 2)
@@ -1058,6 +1163,10 @@ def test_tree_fold_refusals_change_nothing(depth, config, data):
     assert engine.stats.extend_ops == 0
 
 
+#: the ops of ``_run_command`` that act through ``Platform.root_reg``
+_PLATFORM_OPS = (2, 9, 10, 11, 12)
+
+
 def _run_command(platform, sessions, op, arg):
     """One device command chosen by ``op``, on registers and coordinates chosen by ``arg``."""
     engine, r = platform.engine, random.Random(arg)
@@ -1116,19 +1225,11 @@ def test_free_register_count_never_drifts(registers, depth, steps):
         assert engine.free_register_count() == engine.register_count - len(engine.vdat())
 
 
-def _raised_by_device(exc):
-    """Whether ``exc`` came out of a device command (a refusal), not out of the platform's mirror."""
-    tb = exc.__traceback__
-    while tb is not None:
-        if tb.tb_frame.f_code.co_filename == engine_module.__file__:
-            return True
-        tb = tb.tb_next
-    return False
-
-
-def _device_state(engine, sessions):
-    """Everything a command may change, except the command count."""
+def _device_state(platform, sessions):
+    """Everything a command may change, except the command count: the device and the mirror."""
+    engine = platform.engine
     return (
+        platform.tree.copy(),
         engine.vdat(),
         [engine.register_value(i) for i in range(engine.register_count)],
         dict(engine._sessions),
@@ -1147,14 +1248,21 @@ def _device_state(engine, sessions):
 def test_each_command_counts_once_and_a_refusal_changes_nothing(registers, depth, steps):
     platform = make_platform([], depth, register_count=registers)
     engine, sessions = platform.engine, []
+    uid = engine.vdat()[platform.root_reg].tree_uid
     for op, arg in steps:
-        issued = 0 if op == 6 and not sessions else 1  # every op issues one device command, if any
-        before, commands = _device_state(engine, sessions), engine.stats.commands
+        # the platform refuses first, issuing no command, once its root register
+        # (released by op 4, perhaps re-seated by ops 0, 7, 8) roots another tree or none
+        root = engine.vdat().get(platform.root_reg)
+        refused_by_platform = op in _PLATFORM_OPS and (root is None or (root.tree_uid, root.coord) != (uid, ""))
+        issued = 0 if (op == 6 and not sessions) or refused_by_platform else 1
+        before, commands = _device_state(platform, sessions), engine.stats.commands
         try:
             _run_command(platform, sessions, op, arg)
         except (TpmError, ValueError) as exc:
-            if _raised_by_device(exc):
-                assert _device_state(engine, sessions) == before, f"op {op} was refused but changed the device"
+            assert not refused_by_platform or isinstance(exc, StateViolation), f"op {op}: {exc!r}"
+            assert _device_state(platform, sessions) == before, f"op {op} was refused but changed the device"
+        else:
+            assert not refused_by_platform, f"op {op} acted through a root register that left its tree"
         assert engine.stats.commands - commands == issued, f"op {op}"
 
 

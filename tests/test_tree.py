@@ -621,3 +621,57 @@ class TestRunParse:
         assert len(runs) <= 256  # of the 16397 runs in the log
         assert parsed == tree_module._parse_lines(data)
         assert parsed.tree == tree
+
+
+class TestFindValues:
+    """``find_values`` against a scan of every node, and its range pruning."""
+
+    @staticmethod
+    def _scan(nodes, depth, values, maximal):
+        hits = []
+        for level in range(1, depth + 1):
+            for index in range(1 << level):
+                coord = format(index, f"0{level}b")
+                value = nodes[coord]
+                covered = any(coord[:k] in dict(hits) for k in range(1, level))
+                if value is not None and value in values and not (maximal and covered):
+                    hits.append((coord, value))
+        return hits
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        depth=st.integers(min_value=1, max_value=6),
+        data=st.data(),
+        maximal=st.booleans(),
+    )
+    def test_matches_a_scan_of_every_node(self, depth, data, maximal):
+        pool = [hashlib.sha1(b"%d" % i).digest() for i in range(3)] + [None]
+        leaves = data.draw(st.lists(st.sampled_from(pool), max_size=1 << depth), label="leaves")
+        platform = make_platform(leaves, depth)
+        nodes, _ = build_full_tree(leaves, depth)
+        inner = sorted({v for v in nodes.values() if v is not None})
+        values = set(data.draw(st.lists(st.sampled_from(inner + pool)), label="values"))
+        found = tree_module.find_values(platform.tree, dict.fromkeys(values).keys(), maximal)
+        got = [(format(index, f"0{level}b"), value) for level, index, value in found]
+        assert got == self._scan(nodes, depth, values, maximal)
+
+    def test_a_level_covered_whole_ends_the_sweep(self, rng, monkeypatch):
+        # every value of a depth-10 log listed: level 1 is covered whole, so it is
+        # the only level scanned; with node 0 listed alone, each level below is
+        # scanned once, over the right half only
+        platform = make_platform(random_leaves(rng, 10, count=1 << 10), 10)
+        scans, hits = [], tree_module._hits
+
+        def counted(row, values, lo, hi):
+            scans.append((lo, hi))
+            return hits(row, values, lo, hi)
+
+        monkeypatch.setattr(tree_module, "_hits", counted)
+        every = {platform.tree.node(coord).value for coord in platform.tree.coords()}
+        found = tree_module.find_values(platform.tree, dict.fromkeys(every).keys(), maximal=True)
+        assert [(level, index) for level, index, _ in found] == [(1, 0), (1, 1)] and scans == [(0, 2)]
+        scans.clear()
+        left = platform.tree.node("0").value
+        found = tree_module.find_values(platform.tree, dict.fromkeys([left]).keys(), maximal=True)
+        assert [(level, index) for level, index, _ in found] == [(1, 0)]
+        assert scans == [(0, 2)] + [(1 << (level - 1), 1 << level) for level in range(2, 11)]
